@@ -180,7 +180,8 @@ def find_violation(A: PolyMat, height: int):
     for w in _primitive_vectors(A.dim, height):
         v = scan.violating_v(w)
         if v is not None:
-            assert not check_pair(A, v, w), "witness failed exact re-verification"
+            if check_pair(A, v, w):
+                raise RuntimeError(f"witness v={v}, w={w} failed exact re-verification")
             return v, w
     return None
 

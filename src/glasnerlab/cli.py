@@ -17,8 +17,11 @@ from . import formats
 from .checker import VerdictStatus, full_check
 from .errors import GlasnerError, NotAViolation, NotCertifiedIrreducible
 from .expsum import complete_sum, hua_experiment
-from .polymat import IntPoly, poly_mat_eval
-from .torus import (
+# eps_dense and poly_mat_eval are not called in this module; perfbench's
+# per-layer tracing wraps them under these names here.
+from .polymat import IntPoly, poly_mat_eval  # noqa: F401
+from .torus import (  # noqa: F401
+    density_search,
     eps_dense,
     non_glasner_witness,
     orbit_density_search,
@@ -125,15 +128,15 @@ def cmd_density(args) -> int:
     if Y.dim != A.dim:
         return _fail(f"dimension mismatch: matrix {A.dim}, points {Y.dim}")
     try:
-        n = orbit_density_search(
+        hit = density_search(
             A, Y, args.epsilon, args.n_min, args.n_max, mesh=args.mesh
         )
     except GlasnerError as exc:
         return _fail(str(exc))
-    if n is None:
+    if hit is None:
         _emit({"found_n": None})
         return EXIT_NEGATIVE
-    report = eps_dense(Y.transform(poly_mat_eval(A, n)), args.epsilon, args.mesh)
+    n, report = hit
     _emit({"found_n": n, "report": report.to_dict()})
     return EXIT_OK
 
@@ -200,6 +203,9 @@ def cmd_expsum(args) -> int:
         return EXIT_OK
     if not args.coeffs or not args.q:
         return _fail("complete sum needs --coeffs and a single --q")
+    if len(args.q) > 1:
+        return _fail(f"complete sum takes a single --q, got {len(args.q)}; "
+                     "repeat --q only with --hua")
     f = IntPoly(_parse_vec(args.coeffs))
     res = complete_sum(f, args.q[0])
     _emit(

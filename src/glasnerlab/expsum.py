@@ -1,9 +1,10 @@
 """Exponential sum kernels.
 
 Complete rational sums are evaluated with the polynomial reduced mod q in
-exact integer arithmetic; floating point enters only in the final
-exp(2*pi*i*t) call, so the argument carries no accumulated error even for
-large moduli.
+exact integer arithmetic: a histogram of the residues f(n) mod q, split by
+CRT over the coprime prime-power factors of q when the denominator of f
+allows.  Floating point enters only in the final exp(2*pi*i*r/q) of each
+residue, so the argument carries no accumulated error even for large moduli.
 """
 
 from __future__ import annotations
@@ -32,24 +33,77 @@ class SumResult:
         return abs(self.value)
 
 
-def _e_frac(num: int, den: int) -> complex:
-    """e(num/den) with the argument reduced exactly first."""
-    return cmath.exp(1j * (TWO_PI * ((num % den) / den)))
+# n values per block of the residue histogram: bounds the working lists
+_BLOCK = 1 << 14
+
+
+def _prime_power_factors(q: int) -> List[int]:
+    """The prime powers exactly dividing q, by trial division."""
+    out = []
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            pe = 1
+            while q % p == 0:
+                q //= p
+                pe *= p
+            out.append(pe)
+        p += 1 if p == 2 else 2
+    if q > 1:
+        out.append(q)
+    return out
+
+
+def _residue_sum(P: Sequence[int], mod: int, div: int = 1, start: int = 0) -> complex:
+    """(1/q) * sum_{n=start}^{start+q-1} e(r(n)/q), with q = mod // div and
+    r(n) = (P(n) mod mod) // div.
+
+    P(n) mod mod comes from integer Horner mod `mod` into a histogram of the
+    q residues; floating point enters only in one exp per nonzero bin.
+    """
+    q = mod // div
+    hist = [0] * q
+    cs = [c % mod for c in reversed(P)] or [0]
+    top, rest = cs[0], cs[1:]
+    stop = start + q
+    for lo in range(start, stop, _BLOCK):
+        ns = range(lo, min(lo + _BLOCK, stop))
+        acc = [top] * len(ns)
+        for c in rest:
+            acc = [(a * n + c) % mod for a, n in zip(acc, ns)]
+        for a in acc:
+            hist[a // div] += 1
+    rect = cmath.rect
+    return sum(rect(c, TWO_PI * (r / q)) for r, c in enumerate(hist) if c) / q
 
 
 def complete_sum(f: IntPoly, q: int) -> SumResult:
     """(1/q) * sum_{n=1}^{q} e(f(n)/q).
 
-    f may have rational coefficients as long as it is integer-valued; each
-    f(n) is computed exactly and reduced mod q before the transcendental
-    call.
+    f may have rational coefficients as long as it is integer-valued.  With
+    f = P / L (integer form): when gcd(L, q) = 1, f = P * L^-1 mod q has
+    integer coefficients and the sum is the product over the prime powers
+    q_i of q of the sums S(u_i * f, q_i), u_i = (q / q_i)^-1 mod q_i (CRT).
+    Otherwise P is reduced mod q * L and f(n) mod q = (P(n) mod qL) // L.
+    Every residue is exact; `terms` stays q, the number of summands.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    acc = 0j
-    for n in range(1, q + 1):
-        acc += _e_frac(f.eval_int(n), q)
-    return SumResult(value=acc / q, terms=q)
+    P, L = f.integer_form()
+    if L > 1:
+        # NonIntegerValue unless f is integer at deg + 1 consecutive points,
+        # which makes it integer-valued
+        for n in range(len(P)):
+            f.eval_int(n)
+    if math.gcd(L, q) > 1:
+        return SumResult(value=_residue_sum(P, q * L, L, start=1), terms=q)
+    linv = pow(L, -1, q)
+    c = [p * linv % q for p in P]
+    value = complex(1)
+    for qi in _prime_power_factors(q):
+        ui = pow(q // qi, -1, qi)
+        value *= _residue_sum([ui * x for x in c], qi)
+    return SumResult(value=value, terms=q)
 
 
 def _frac_mod1(c: float, npow: int) -> float:

@@ -4,6 +4,8 @@ Coefficients are stored as exact rationals.  Rational coefficients are only
 admitted for integer-valued polynomials (values at every integer are
 integers), which is exactly what symbolic powers of unipotent matrices
 produce; the finite-difference criterion at 0..deg certifies this.
+A univariate polynomial also has an integer form P / L (integer numerators
+over one positive denominator), on which integer evaluation runs.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ def _as_fraction(x) -> Fraction:
 class IntPoly:
     """Univariate polynomial, ascending coefficient order, trailing zeros trimmed."""
 
-    __slots__ = ("coeffs",)
+    # _int caches integer_form(); it stays unset until first use, so building
+    # an IntPoly costs nothing extra.
+    __slots__ = ("coeffs", "_int")
 
     def __init__(self, coeffs=()):
         cs = [_as_fraction(c) for c in coeffs]
@@ -68,6 +72,20 @@ class IntPoly:
             Fraction(self(n)).denominator == 1 for n in range(self.degree + 2)
         )
 
+    def integer_form(self):
+        """(P, L) with self = P / L: L > 0 is the lcm of the coefficient
+        denominators and P the tuple of integer numerators."""
+        try:
+            return self._int
+        except AttributeError:
+            pass
+        L = 1
+        for c in self.coeffs:
+            # Fraction(L, d) is reduced by gcd(L, d), so this is lcm(L, d)
+            L *= Fraction(L, c.denominator).denominator
+        self._int = (tuple(c.numerator * (L // c.denominator) for c in self.coeffs), L)
+        return self._int
+
     def __call__(self, n):
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -75,11 +93,18 @@ class IntPoly:
         return acc
 
     def eval_int(self, n: int) -> int:
-        """Evaluate at an integer, insisting the value is an integer."""
-        v = self(n)
-        if v.denominator != 1:
-            raise NonIntegerValue(f"value at {n} is {v}")
-        return v.numerator
+        """Evaluate at an integer, insisting the value is an integer: integer
+        Horner on the numerators P, then one division by L."""
+        P, L = self.integer_form()
+        acc = 0
+        for c in reversed(P):
+            acc = acc * n + c
+        if L == 1:
+            return acc
+        v, r = divmod(acc, L)
+        if r:
+            raise NonIntegerValue(f"value at {n} is {Fraction(acc, L)}")
+        return v
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs

@@ -224,6 +224,42 @@ def eps_dense(Y: TorusPointSet, epsilon: float, mesh: Optional[float] = None) ->
     )
 
 
+def _by_abs(n_min: int, n_max: int):
+    """The integers of [n_min, n_max] in (|n|, positive first) order, lazily."""
+    if n_min >= 0:
+        yield from range(n_min, n_max + 1)
+    elif n_max <= 0:
+        yield from range(n_max, n_min - 1, -1)
+    else:
+        yield 0
+        for k in range(1, max(n_max, -n_min) + 1):
+            if k <= n_max:
+                yield k
+            if -k >= n_min:
+                yield -k
+
+
+def density_search(
+    A: PolyMat,
+    Y: TorusPointSet,
+    epsilon: float,
+    n_min: int,
+    n_max: int,
+    mesh: Optional[float] = None,
+) -> Optional[Tuple[int, DensityReport]]:
+    """(n, report) for the smallest |n| in [n_min, n_max] (ties: positive
+    first) with A(n)Y certified epsilon-dense; None if there is none."""
+    if Y.dim != A.dim:
+        raise DimensionMismatch("point set and matrix dimensions differ")
+    if n_min > n_max:
+        raise ValueError("need n_min <= n_max")
+    for n in _by_abs(n_min, n_max):
+        report = eps_dense(Y.transform(poly_mat_eval(A, n)), epsilon, mesh)
+        if report.dense:
+            return n, report
+    return None
+
+
 def orbit_density_search(
     A: PolyMat,
     Y: TorusPointSet,
@@ -234,15 +270,8 @@ def orbit_density_search(
 ) -> Optional[int]:
     """Smallest |n| in [n_min, n_max] (ties: positive first) with A(n)Y
     certified epsilon-dense; None if no such n exists in the range."""
-    if Y.dim != A.dim:
-        raise DimensionMismatch("point set and matrix dimensions differ")
-    if n_min > n_max:
-        raise ValueError("need n_min <= n_max")
-    for n in sorted(range(n_min, n_max + 1), key=lambda n: (abs(n), n < 0)):
-        image = Y.transform(poly_mat_eval(A, n))
-        if eps_dense(image, epsilon, mesh).dense:
-            return n
-    return None
+    hit = density_search(A, Y, epsilon, n_min, n_max, mesh)
+    return None if hit is None else hit[0]
 
 
 @dataclass

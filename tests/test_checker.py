@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from glasnerlab import checker
 from glasnerlab.checker import (
     VerdictStatus,
     certify_generic,
@@ -116,6 +121,40 @@ def test_find_violation_witness_is_primitive(scalar_x):
     v, w = find_violation(scalar_x, 3)
     assert gcd_vec(v) == 1
     assert gcd_vec(w) == 1
+
+
+FAKE_RECHECK = """
+import sys
+from glasnerlab import checker
+from glasnerlab.polymat import IntPoly, PolyMat
+
+assert sys.flags.optimize == 1
+X, ZERO = IntPoly([0, 1]), IntPoly()
+checker.check_pair = lambda A, v, w: True
+try:
+    checker.find_violation(PolyMat([[X, ZERO], [ZERO, X]]), 1)
+except RuntimeError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_find_violation_recheck_survives_optimize():
+    """A witness that fails its exact re-check is an internal soundness
+    failure: RuntimeError, also under python -O (where asserts vanish)."""
+    src = Path(checker.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FAKE_RECHECK],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: witness")
+
+
+def test_find_violation_recheck_raises(scalar_x, monkeypatch):
+    monkeypatch.setattr(checker, "check_pair", lambda A, v, w: True)
+    with pytest.raises(RuntimeError, match="re-verification"):
+        find_violation(scalar_x, 1)
 
 
 def test_certify_generic_full_rank(power_matrix):

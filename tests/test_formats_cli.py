@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from glasnerlab import cli, formats
+from glasnerlab import cli, formats, torus
 from glasnerlab.errors import FormatError
-from glasnerlab.polymat import PolyMat
-from glasnerlab.torus import EXACT, FLOAT, TorusPointSet
+from glasnerlab.polymat import PolyMat, poly_mat_eval
+from glasnerlab.torus import EXACT, FLOAT, TorusPointSet, eps_dense
 
 from conftest import poly
 
@@ -191,6 +191,39 @@ def test_cli_expsum_complete(capsys):
     assert code == 0
     assert out["value"][0] == pytest.approx(0.5)
     assert out["value"][1] == pytest.approx(0.5)
+
+
+def test_cli_expsum_coeffs_rejects_extra_moduli(capsys):
+    code = cli.main(["expsum", "--coeffs", "0,0,1", "--q", "7", "--q", "9"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "single --q" in captured.err
+
+
+def test_cli_density_scans_grid_once(matrix_file, tmp_path, capsys, monkeypatch):
+    """The report comes from the search itself; the JSON is what a second
+    eps_dense on A(n)Y would give."""
+    pts = tmp_path / "pts.txt"
+    pts.write_text("".join(f"{i}/20\n" for i in range(20)))
+    A = formats.load_polymat(matrix_file(X_MATRIX))
+    Y = formats.load_points(str(pts))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eps_dense(*args, **kwargs)
+
+    monkeypatch.setattr(torus, "eps_dense", counted)
+    monkeypatch.setattr(cli, "eps_dense", counted)
+    code, out = run_cli(
+        capsys,
+        ["density", matrix_file(X_MATRIX), str(pts), "--epsilon", "0.1"],
+    )
+    assert code == 0
+    assert len(calls) == 1
+    want = eps_dense(Y.transform(poly_mat_eval(A, 1)), 0.1, None)
+    assert out == {"found_n": 1, "report": want.to_dict()}
 
 
 def test_cli_expsum_hua_needs_seed(capsys):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from glasnerlab.errors import (
     BadEpsilon,
@@ -13,6 +14,8 @@ from glasnerlab.errors import (
 from glasnerlab.intmat import IntMat
 from glasnerlab.torus import (
     TorusPointSet,
+    _by_abs,
+    density_search,
     eps_dense,
     fourier_statistic,
     in_arc,
@@ -217,3 +220,33 @@ def test_in_arc_wrapping():
     # arc wrapping through 0
     assert in_arc(Fraction(0), (Fraction(5, 6), Fraction(1, 6)))
     assert not in_arc(Fraction(1, 2), (Fraction(5, 6), Fraction(1, 6)))
+
+
+@given(st.integers(-30, 30), st.integers(0, 40))
+def test_by_abs_order_equals_sorted_range(n_min, width):
+    n_max = n_min + width
+    want = sorted(range(n_min, n_max + 1), key=lambda n: (abs(n), n < 0))
+    assert list(_by_abs(n_min, n_max)) == want
+
+
+@pytest.mark.parametrize("n_min, n_max", [(-9, -2), (-5, 0), (-4, 7), (-7, 3), (0, 0), (3, 3)])
+def test_by_abs_order_edge_ranges(n_min, n_max):
+    want = sorted(range(n_min, n_max + 1), key=lambda n: (abs(n), n < 0))
+    assert list(_by_abs(n_min, n_max)) == want
+
+
+def test_orbit_density_search_huge_range_dense_at_one():
+    """n is generated lazily, so a 10^12-wide range costs nothing up front."""
+    A = poly_matrix_x()
+    Y = exact_line(*[Fraction(i, 101) for i in range(101)])
+    assert orbit_density_search(A, Y, 0.01, 1, 10**12) == 1
+    assert orbit_density_search(A, Y, 0.01, -10**12, 10**12) == 1
+
+
+def test_density_search_returns_the_report_of_its_n():
+    A = poly_matrix_x()
+    Y = exact_line(*[Fraction(i, 101) for i in range(101)])
+    n, report = density_search(A, Y, 0.01, 1, 10)
+    assert n == 1
+    assert report == eps_dense(Y, 0.01)
+    assert density_search(A, exact_line(0, Fraction(1, 2)), 0.2, 1, 50) is None
