@@ -29,9 +29,9 @@ from .torus import (  # noqa: F401
     weighted_spectrum_sum,
 )
 from .unipotent import (
-    SL2_CONGRUENCE_PAIR,
     SL2_PAIR,
     UnipotentSystem,
+    adjoint_fixture,
     construct_polynomial,
 )
 
@@ -40,9 +40,10 @@ EXIT_INPUT = 2
 EXIT_NEGATIVE = 3
 EXIT_NOT_CERTIFIED = 4
 
+# --fixture name -> builder of its generator system
 FIXTURES = {
-    "sl2-pair": SL2_PAIR,
-    "adjoint-sl2": None,  # built lazily (needs adjoint images)
+    "sl2-pair": lambda: UnipotentSystem(list(SL2_PAIR)),
+    "adjoint-sl2": adjoint_fixture,
 }
 
 
@@ -79,17 +80,11 @@ def cmd_check(args) -> int:
 def cmd_construct(args) -> int:
     try:
         if args.fixture:
-            if args.fixture == "sl2-pair":
-                gens = list(SL2_PAIR)
-            else:
-                from .unipotent import adjoint_rep
-
-                gens = [adjoint_rep(g) for g in SL2_CONGRUENCE_PAIR]
+            sys_ = FIXTURES[args.fixture]()
+        elif args.generators:
+            sys_ = UnipotentSystem(formats.load_generators(args.generators))
         else:
-            if not args.generators:
-                return _fail("either a generators file or --fixture is required")
-            gens = formats.load_generators(args.generators)
-        sys_ = UnipotentSystem(gens)
+            return _fail("either a generators file or --fixture is required")
     except (OSError, GlasnerError) as exc:
         return _fail(f"cannot load generators: {exc}")
     try:

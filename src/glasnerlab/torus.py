@@ -12,6 +12,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .checker import check_pair
@@ -28,17 +29,26 @@ from .polymat import PolyMat, bilinear_poly, poly_mat_eval
 
 EXACT = "exact"
 FLOAT = "float"
+# for 0 <= x < L <= _SAFE_DEN the float x / L is at most 1 - 2^-53 < 1.0
+_SAFE_DEN = 2**53
 
 
 def _wrap_float(x: float) -> float:
-    x = math.fmod(x, 1.0)
-    return x + 1.0 if x < 0 else x
+    """x mod 1 as a float in [0, 1); nan and inf are no point of the circle."""
+    if not math.isfinite(x):
+        raise ValueError(f"coordinate {x!r} is not a finite number")
+    x = math.fmod(x, 1.0) + 0.0  # + 0.0 turns -0.0 into 0.0
+    if x < 0:
+        x += 1.0  # rounds to 1.0 when -x < 2^-54
+    return x if x < 1.0 else 0.0
 
 
 class TorusPointSet:
     """Distinct points of T^d, either all exact-rational or all float."""
 
-    __slots__ = ("dim", "points", "kind")
+    # _int caches integer_form(); it stays unset until first use, so building
+    # a set costs nothing extra.
+    __slots__ = ("dim", "points", "kind", "_int")
 
     def __init__(self, dim: int, points, kind: str):
         if kind not in (EXACT, FLOAT):
@@ -62,6 +72,13 @@ class TorusPointSet:
 
     def __repr__(self):
         return f"TorusPointSet(dim={self.dim}, k={len(self.points)}, kind={self.kind})"
+
+    @classmethod
+    def _reduced(cls, dim: int, points, kind: str) -> "TorusPointSet":
+        """A set of points already reduced mod 1 and distinct."""
+        Y = cls.__new__(cls)
+        Y.dim, Y.points, Y.kind = dim, points, kind
+        return Y
 
     @classmethod
     def exact(cls, points) -> "TorusPointSet":
@@ -92,24 +109,66 @@ class TorusPointSet:
             return list(self.points)
         return [tuple(float(x) for x in p) for p in self.points]
 
+    def integer_form(self) -> List[Tuple[int, Tuple[int, ...]]]:
+        """Per point, (L, nums) with coordinate i = nums[i] / L exactly and
+        0 <= nums[i] < L.  For exact sets L is the lcm of the point's
+        denominators; for float sets it is the largest denominator of the
+        coordinates' exact binary rationals, a power of 2."""
+        try:
+            return self._int
+        except AttributeError:
+            pass
+        form = []
+        if self.kind == EXACT:
+            for p in self.points:
+                L = math.lcm(*[x.denominator for x in p])
+                form.append((L, tuple([x.numerator * (L // x.denominator) for x in p])))
+        else:
+            for p in self.points:
+                ratios = [x.as_integer_ratio() for x in p]
+                L = max([den for _, den in ratios])
+                form.append((L, tuple([num * (L // den) for num, den in ratios])))
+        self._int = form
+        return form
+
     def transform(self, M: IntMat) -> "TorusPointSet":
         """Image under an integer matrix, mod 1.
 
-        Exact for rational sets.  Float coordinates are converted to their
-        exact binary rationals before the multiply, so the huge integer
-        entries of M never magnify rounding error; coordinates colliding
-        after reduction are merged.
+        Exact for rational sets.  Float coordinates enter as their exact
+        binary rationals nums / L, so the huge integer entries of M never
+        magnify rounding error: each image coordinate is (M nums mod L) / L,
+        rounded once.  Images that coincide are merged.
         """
         if M.rows != self.dim or M.cols != self.dim:
             raise DimensionMismatch("matrix/point dimension mismatch")
-        images = set()
-        for p in self.points:
-            exact = [Fraction(x) for x in p]
-            img = tuple(v % 1 for v in M.mul_vec(exact))
-            if self.kind == FLOAT:
-                img = tuple(float(v) for v in img)
-            images.add(img)
-        return TorusPointSet(self.dim, sorted(images), self.kind)
+        form = self.integer_form()
+        by_den = {}  # L -> rows of M mod L
+        residues = []
+        for L, nums in form:
+            rows = by_den.get(L)
+            if rows is None:
+                rows = by_den[L] = [[a % L for a in row] for row in M.entries]
+            residues.append((L, [sum(map(mul, row, nums)) % L for row in rows]))
+        if self.kind == FLOAT:
+            images = set()
+            for L, r in residues:
+                img = tuple([x / L for x in r])  # int / int rounds correctly
+                if L > _SAFE_DEN:  # x / L may round up to 1.0, which is 0
+                    img = tuple([v if v < 1.0 else 0.0 for v in img])
+                images.add(img)
+            return TorusPointSet._reduced(self.dim, sorted(images), FLOAT)
+        # x / L -> (x << s) // L is strictly increasing on fractions of
+        # denominator at most max L (distinct ones are at least 1 / max L^2
+        # apart, and 2^s > max L^2), so the keys merge equal images and sort
+        # them in the order of their values
+        s = 2 * max([L for L, _ in form], default=1).bit_length()
+        images = {}
+        for L, r in residues:
+            images[tuple([(x << s) // L for x in r])] = (L, r)
+        points = [
+            tuple([Fraction(x, L) for x in r]) for _, (L, r) in sorted(images.items())
+        ]
+        return TorusPointSet._reduced(self.dim, points, EXACT)
 
 
 def circle_dist(a: float, b: float) -> float:
@@ -305,13 +364,18 @@ def pair_spectrum(Y: TorusPointSet) -> PairSpectrum:
         raise NotExact("pair spectrum needs exact rational coordinates")
     k = len(Y)
     spec = PairSpectrum(d=Y.dim, k=k, rational_pairs=k * k)
-    for i, p in enumerate(Y.points):
-        for j, r in enumerate(Y.points):
-            if i == j:
-                continue
-            diff = [(a - b) % 1 for a, b in zip(p, r)]
-            q = math.lcm(*(f.denominator for f in diff))
-            spec.counts[q] = spec.counts.get(q, 0) + 1
+    counts = spec.counts
+    form = Y.integer_form()
+    # x/a - y/b = (x b - y a) / (a b), whose order is a b over the gcd of
+    # a b and the numerators; (i, j) and (j, i) share it
+    for i, (a, xs) in enumerate(form):
+        for b, ys in form[i + 1:]:
+            if a == b:
+                q = a // math.gcd(a, *map(sub, xs, ys))
+            else:
+                ab = a * b
+                q = ab // math.gcd(ab, *[x * b - y * a for x, y in zip(xs, ys)])
+            counts[q] = counts.get(q, 0) + 2
     return spec
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from glasnerlab import cli, formats, torus
 from glasnerlab.errors import FormatError
 from glasnerlab.polymat import PolyMat, poly_mat_eval
 from glasnerlab.torus import EXACT, FLOAT, TorusPointSet, eps_dense
+from glasnerlab.unipotent import adjoint_fixture, construct_polynomial
 
 from conftest import poly
 
@@ -295,3 +297,37 @@ def test_cli_check_deterministic(matrix_file, capsys):
     _, out1 = run_cli(capsys, ["check", path, "--seed", "42"])
     _, out2 = run_cli(capsys, ["check", path, "--seed", "42"])
     assert out1 == out2
+
+
+@pytest.mark.parametrize("bad, name", [("nan", "nan"), ("1e999", "inf"), ("-1e999", "-inf")])
+@pytest.mark.parametrize("command", ["density", "spectrum"])
+def test_cli_rejects_non_finite_coordinate_at_load(matrix_file, tmp_path, capsys, command, bad, name):
+    pts = tmp_path / "pts.txt"
+    pts.write_text(f"0.5\n{bad}\n")
+    argv = ["spectrum", str(pts)]
+    if command == "density":
+        argv = ["density", matrix_file(X_MATRIX), str(pts), "--epsilon", "0.1"]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"coordinate {name} is not a finite number" in captured.err
+
+
+def test_parse_points_negative_tiny_float_is_zero():
+    with pytest.raises(FormatError, match="distinct"):
+        formats.parse_points("0.0\n-1e-17\n")
+    assert formats.parse_points("-1e-17\n").points == [(0.0,)]
+
+
+def test_cli_construct_adjoint_fixture(tmp_path, capsys):
+    out_path = str(tmp_path / "adj.json")
+    code, out = run_cli(
+        capsys,
+        ["construct", "--fixture", "adjoint-sl2", "--seed", "3", "--out", out_path],
+    )
+    want = construct_polynomial(adjoint_fixture(), rng=random.Random(3))
+    assert code == 0
+    assert out["degree"] == want.matrix.degree == 728
+    assert out["N"] == want.word_length
+    assert formats.load_polymat(out_path) == want.matrix
