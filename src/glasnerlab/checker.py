@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from .errors import BadGcd, HypothesisFailed, ZeroVector
-from .intmat import IntMat, gcd_vec, left_kernel_integer, rank_rational
+from .intmat import IntMat, bareiss_det, gcd_vec, left_kernel_integer
 from .polymat import IntPoly, PolyMat, bilinear_poly, coeff_matrices, coeff_norm
 
 
@@ -92,12 +93,25 @@ def fleeing_matrix(A: PolyMat, w: Sequence[int]) -> Optional[IntMat]:
     return IntMat([list(r) for r in zip(*cols)])
 
 
+def _integer_scaled(B):
+    """B times the lcm of its denominators, as integer row tuples."""
+    den = math.lcm(*(Fraction(c).denominator for row in B for c in row))
+    return [tuple(int(c * den) for c in row) for row in B]
+
+
 class _FleeingScan:
     """Cached per-matrix state for scanning many candidate w.
 
-    Coefficient matrices are extracted once; for each w the columns B_k w
-    are fed into an incremental span with early exit at full rank, so a
-    generic w touches only about d columns.
+    Coefficient matrices are extracted once, and integer copies of the
+    first d nonzero B_k (k >= 1), each scaled by the lcm of its own
+    denominators.  For each w an integer determinant filter runs first: the
+    d columns of those copies times w have a nonzero Bareiss determinant
+    iff they are independent, and then the fleeing matrix has full rank and
+    w cannot violate.  Scaling a column by a positive integer changes
+    neither the rank nor the left kernel, so the filter is exact.  Only a
+    zero determinant, or fewer than d nonzero B_k, sends w to the exact
+    fallback: all columns B_k w fed into an incremental Fraction span with
+    early exit at full rank, then the integer left kernel.
     """
 
     def __init__(self, A: PolyMat):
@@ -113,12 +127,25 @@ class _FleeingScan:
             for B in bs
         ]
         self.ncols = len(self.bs) - 1
+        nonzero = [B for B in bs[1:] if any(any(row) for row in B)]
+        self.det_bs = (
+            [_integer_scaled(B) for B in nonzero[: self.d]]
+            if len(nonzero) >= self.d
+            else None
+        )
 
     def violating_v(self, w) -> Optional[Tuple[int, ...]]:
-        """A primitive v with v^t (A(x) - A(0)) w = 0, or None at full rank."""
+        """A primitive v with v^t (A(x) - A(0)) w = 0, or None at full rank.
+
+        The entries of w must be ints.
+        """
         d = self.d
         if self.ncols == 0:
             return tuple([1] + [0] * (d - 1))
+        if self.det_bs is not None:
+            # the columns as rows: the transpose has the same determinant
+            if bareiss_det([[sum(map(mul, row, w)) for row in B] for B in self.det_bs]):
+                return None
         span_rows: list = []
         pivots: list = []
         cols = []
@@ -148,24 +175,34 @@ class _FleeingScan:
 def entries_independent(A: PolyMat, w: Sequence[int]) -> bool:
     """True iff the entries of (A(x) - A(0)) w are Z-linearly independent."""
     _require_nonzero(w, "w")
-    M = fleeing_matrix(A, w)
-    if M is None:
-        return False
-    return rank_rational(M) == A.dim
+    if len(w) != A.dim:
+        raise ValueError("w must have length d")
+    return _FleeingScan(A).violating_v(tuple(int(x) for x in w)) is None
 
 
 def _primitive_vectors(d: int, height: int):
     """Primitive integer vectors of height <= H, first nonzero coordinate
-    positive, in lexicographic order."""
-    for w in product(range(-height, height + 1), repeat=d):
-        if not any(w):
-            continue
-        first = next(x for x in w if x)
-        if first < 0:
-            continue
-        if gcd_vec(w) != 1:
-            continue
-        yield w
+    positive, in lexicographic order.
+
+    Vectors whose first nonzero coordinate sits at a later position come
+    first in that order, so the position runs from last to first, then the
+    value of that coordinate, then the trailing coordinates.
+    """
+    span = range(-height, height + 1)
+    for p in range(d - 1, -1, -1):
+        zeros = (0,) * p
+        for first in range(1, height + 1):
+            for tail in product(span, repeat=d - 1 - p):
+                if math.gcd(first, *tail) == 1:
+                    yield zeros + (first,) + tail
+
+
+def _verified(A: PolyMat, v, w):
+    """The witness (v, w) after its exact re-check by polynomial
+    cancellation; a failure is an internal soundness error."""
+    if check_pair(A, v, w):
+        raise RuntimeError(f"witness v={v}, w={w} failed exact re-verification")
+    return v, w
 
 
 def find_violation(A: PolyMat, height: int):
@@ -180,9 +217,7 @@ def find_violation(A: PolyMat, height: int):
     for w in _primitive_vectors(A.dim, height):
         v = scan.violating_v(w)
         if v is not None:
-            if check_pair(A, v, w):
-                raise RuntimeError(f"witness v={v}, w={w} failed exact re-verification")
-            return v, w
+            return _verified(A, v, w)
     return None
 
 
@@ -214,7 +249,7 @@ def certify_generic(
     if A.degree < A.dim:
         w = tuple([1] + [0] * (A.dim - 1))
         return GlasnerVerdict(
-            VerdictStatus.VIOLATION_FOUND, witness=(scan.violating_v(w), w)
+            VerdictStatus.VIOLATION_FOUND, witness=_verified(A, scan.violating_v(w), w)
         )
     for _ in range(trials):
         while True:
@@ -225,7 +260,8 @@ def certify_generic(
             g = gcd_vec(w)
             w = tuple(x // g for x in w)
             return GlasnerVerdict(
-                VerdictStatus.VIOLATION_FOUND, witness=(scan.violating_v(w), w)
+                VerdictStatus.VIOLATION_FOUND,
+                witness=_verified(A, scan.violating_v(w), w),
             )
     return GlasnerVerdict(VerdictStatus.CERTIFIED_GENERIC_RANK, trials=trials)
 
@@ -241,8 +277,14 @@ def full_check(
 
     A clearing verdict carries both the cleared height and the trial count.
     With trials = 0 the randomized stage is skipped and the exhaustive
-    ClearedToHeight verdict is returned as-is.
+    ClearedToHeight verdict is returned as-is.  Both parameters are
+    validated before the height scan, so a bad value fails the same way
+    whatever the matrix.
     """
+    if height < 1:
+        raise ValueError("height must be >= 1")
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     cleared = clear_to_height(A, height)
     if cleared.status is VerdictStatus.VIOLATION_FOUND or trials == 0:
         return cleared

@@ -24,6 +24,36 @@ def gcd_vec(v) -> int:
     return g
 
 
+def bareiss_det(a) -> int:
+    """Determinant of a square integer matrix given as a list of row lists,
+    by fraction-free Bareiss elimination; a is overwritten.
+
+    Every division is exact, so only integers are ever formed.
+    """
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        ak = a[k]
+        pivot = ak[k]
+        for i in range(k + 1, n):
+            ai = a[i]
+            f = ai[k]
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * pivot - f * ak[j]) // prev
+            ai[k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
 class IntMat:
     """Dense integer matrix, row-major, arbitrary precision."""
 
@@ -116,25 +146,7 @@ class IntMat:
         """Determinant by fraction-free Bareiss elimination."""
         if not self.is_square():
             raise DimensionMismatch("determinant of non-square matrix")
-        n = self.rows
-        a = [row[:] for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        return bareiss_det([row[:] for row in self.entries])
 
     def _same_shape(self, other: "IntMat") -> None:
         if self.rows != other.rows or self.cols != other.cols:

@@ -23,7 +23,7 @@ from glasnerlab.errors import BadGcd, HypothesisFailed, ZeroVector
 from glasnerlab.intmat import gcd_vec
 from glasnerlab.polymat import IntPoly, PolyMat, bilinear_poly
 
-from conftest import poly, random_poly_matrix
+from conftest import X, poly, random_poly_matrix
 
 
 def test_check_pair_scalar_orthogonal(scalar_x):
@@ -157,6 +157,22 @@ def test_find_violation_recheck_raises(scalar_x, monkeypatch):
         find_violation(scalar_x, 1)
 
 
+def test_certify_generic_random_stage_recheck_raises(monkeypatch):
+    # equal rows: v = (1, -1) kills every w, and degree 2 = d skips the
+    # degree shortcut, so the witness comes from the random stage
+    X2 = X * X
+    A = PolyMat([[X, X2], [X, X2]])
+    monkeypatch.setattr(checker, "check_pair", lambda A, v, w: True)
+    with pytest.raises(RuntimeError, match="re-verification"):
+        certify_generic(A, trials=5, rng=random.Random(1))
+
+
+def test_certify_generic_degree_shortcut_recheck_raises(scalar_x, monkeypatch):
+    monkeypatch.setattr(checker, "check_pair", lambda A, v, w: True)
+    with pytest.raises(RuntimeError, match="re-verification"):
+        certify_generic(scalar_x, trials=5, rng=random.Random(1))
+
+
 def test_certify_generic_full_rank(power_matrix):
     verdict = certify_generic(power_matrix, trials=50, rng=random.Random(1))
     assert verdict.status is VerdictStatus.CERTIFIED_GENERIC_RANK
@@ -189,6 +205,25 @@ def test_full_check_exhaustive_only(power_matrix):
     verdict = full_check(power_matrix, height=2, trials=0)
     assert verdict.status is VerdictStatus.CLEARED_TO_HEIGHT
     assert verdict.height == 2
+
+
+@pytest.mark.parametrize(
+    "height,trials,message",
+    [(1, -1, "trials must be >= 0"), (0, 5, "height must be >= 1")],
+)
+def test_full_check_validates_before_scanning(
+    power_matrix, symmetric_mix, height, trials, message
+):
+    for A in (power_matrix, symmetric_mix):
+        with pytest.raises(ValueError, match=message):
+            full_check(A, height=height, trials=trials, rng=random.Random(2))
+
+
+def test_entries_independent_rejects_bad_w(power_matrix):
+    with pytest.raises(ZeroVector):
+        entries_independent(power_matrix, (0, 0))
+    with pytest.raises(ValueError, match="length d"):
+        entries_independent(power_matrix, (1, 0, 0))
 
 
 def test_full_check_reports_height(power_matrix):

@@ -147,6 +147,49 @@ def test_cli_construct_not_certified(matrix_file, capsys):
     assert code == 4
 
 
+# a matrix that passes the check and one that violates it
+PASSING = POWERS
+VIOLATING = '{"d": 2, "entries": [[[0, 1], []], [[], [0, 1, 1]]]}'
+SINGLE_GENERATOR = "[[[1, 1], [0, 1]]]"
+
+
+def _check_argv(matrix_file, which):
+    return ["check", matrix_file(PASSING if which == "passing" else VIOLATING)]
+
+
+def _construct_argv(matrix_file, which):
+    if which == "passing":
+        return ["construct", "--fixture", "sl2-pair"]
+    # one generator is reducible: forced, the constructed matrix violates
+    return ["construct", matrix_file(SINGLE_GENERATOR, "gens.json"), "--force"]
+
+
+@pytest.mark.parametrize("build", [_check_argv, _construct_argv])
+@pytest.mark.parametrize("which,expected", [("passing", 0), ("violating", 3)])
+def test_cli_negative_trials_rejected_whatever_the_matrix(
+    matrix_file, capsys, build, which, expected
+):
+    argv = build(matrix_file, which) + ["--seed", "1"]
+    code, _ = run_cli(capsys, argv + ["--trials", "5"])
+    assert code == expected
+    for bad in (["--trials", "-1"], ["--height", "0"]):
+        assert cli.main(argv + bad) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be" in captured.err
+
+
+@pytest.mark.parametrize("which,expected", [("passing", 0), ("violating", 3)])
+def test_cli_check_zero_trials_skips_random_stage(matrix_file, capsys, which, expected):
+    code, out = run_cli(
+        capsys, _check_argv(matrix_file, which) + ["--seed", "1", "--trials", "0"]
+    )
+    assert code == expected
+    want = "ClearedToHeight" if which == "passing" else "ViolationFound"
+    assert out["status"] == want
+    assert out["trials"] is None
+
+
 def test_cli_density_dim_mismatch(matrix_file, tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     pts.write_text("1/2,0\n")
