@@ -1,10 +1,15 @@
 """Exponential sum kernels.
 
 Complete rational sums are evaluated with the polynomial reduced mod q in
-exact integer arithmetic: a histogram of the residues f(n) mod q, split by
-CRT over the coprime prime-power factors of q when the denominator of f
-allows.  Floating point enters only in the final exp(2*pi*i*r/q) of each
-residue, so the argument carries no accumulated error even for large moduli.
+exact integer arithmetic, split by CRT over the coprime prime-power factors
+p^k of q when the denominator of f allows.  Each factor goes through Hua's
+p-adic reduction: the phase and p-content come out, stationary phase keeps
+only the roots of f' mod p for k >= 2, and a prime modulus has closed forms
+by folded degree (0, 1, the Gauss sum for 2, a half-range cosine sum for 3)
+before the histogram of residues f(n) mod p.  Every reduction is integer
+arithmetic; floating point enters only in the final roots of unity
+exp(2*pi*i*r/q), sqrt(p) and cosines, so no argument carries accumulated
+error even for large moduli.
 """
 
 from __future__ import annotations
@@ -35,23 +40,54 @@ class SumResult:
 
 # n values per block of the residue histogram: bounds the working lists
 _BLOCK = 1 << 14
+# the largest residue histogram (or root scan) a direct sum may make
+_MAX_BINS = 1 << 25
 
 
-def _prime_power_factors(q: int) -> List[int]:
-    """The prime powers exactly dividing q, by trial division."""
+def _prime_power_factors(q: int) -> List[Tuple[int, int]]:
+    """The pairs (p, e) with p^e exactly dividing q, by trial division."""
     out = []
     p = 2
     while p * p <= q:
         if q % p == 0:
-            pe = 1
+            e = 0
             while q % p == 0:
                 q //= p
-                pe *= p
-            out.append(pe)
+                e += 1
+            out.append((p, e))
         p += 1 if p == 2 else 2
     if q > 1:
-        out.append(q)
+        out.append((q, 1))
     return out
+
+
+def _check_bins(bins: int, mod: int) -> None:
+    """Refuse a histogram or scan of more than _MAX_BINS residues."""
+    if bins > _MAX_BINS:
+        raise ValueError(
+            f"complete sum needs {bins} residue bins mod {mod}, "
+            f"above the limit of {_MAX_BINS}"
+        )
+
+
+def _residue_histogram(
+    P: Sequence[int], mod: int, div: int, start: int, count: int
+) -> List[int]:
+    """Counts of r(n) = (P(n) mod mod) // div over n = start..start+count-1,
+    by integer Horner mod `mod`; one bin per value of r, mod // div bins."""
+    _check_bins(mod // div, mod)
+    hist = [0] * (mod // div)
+    cs = [c % mod for c in reversed(P)] or [0]
+    top, rest = cs[0], cs[1:]
+    stop = start + count
+    for lo in range(start, stop, _BLOCK):
+        ns = range(lo, min(lo + _BLOCK, stop))
+        acc = [top] * len(ns)
+        for c in rest:
+            acc = [(a * n + c) % mod for a, n in zip(acc, ns)]
+        for a in acc:
+            hist[a // div] += 1
+    return hist
 
 
 def _residue_sum(P: Sequence[int], mod: int, div: int = 1, start: int = 0) -> complex:
@@ -60,21 +96,122 @@ def _residue_sum(P: Sequence[int], mod: int, div: int = 1, start: int = 0) -> co
 
     P(n) mod mod comes from integer Horner mod `mod` into a histogram of the
     q residues; floating point enters only in one exp per nonzero bin.
+    Raises ValueError, before allocating, when q exceeds _MAX_BINS.
     """
     q = mod // div
-    hist = [0] * q
-    cs = [c % mod for c in reversed(P)] or [0]
-    top, rest = cs[0], cs[1:]
-    stop = start + q
-    for lo in range(start, stop, _BLOCK):
-        ns = range(lo, min(lo + _BLOCK, stop))
-        acc = [top] * len(ns)
-        for c in rest:
-            acc = [(a * n + c) % mod for a, n in zip(acc, ns)]
-        for a in acc:
-            hist[a // div] += 1
+    hist = _residue_histogram(P, mod, div, start, q)
     rect = cmath.rect
     return sum(rect(c, TWO_PI * (r / q)) for r, c in enumerate(hist) if c) / q
+
+
+def _e(r: int, q: int) -> complex:
+    """e(r/q) = exp(2*pi*i*r/q) for an integer r."""
+    return cmath.rect(1.0, TWO_PI * ((r % q) / q))
+
+
+def _taylor_shift(c: Sequence[int], r: int, mod: int) -> List[int]:
+    """Coefficients of f(x + r) mod `mod`, f with coefficients c (ascending)."""
+    a = [x % mod for x in c]
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] = (a[j] + r * a[j + 1]) % mod
+    return a
+
+
+def _valuation(x: int, p: int, cap: int) -> int:
+    """min(v_p(x), cap), with v_p(0) taken as cap."""
+    v = 0
+    while v < cap and x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def _roots_mod_p(d: Sequence[int], p: int) -> List[int]:
+    """The roots r in 0..p-1, mod p, of the polynomial with ascending
+    coefficients d: solved directly up to degree 1, else by a scan."""
+    d = [x % p for x in d]
+    while d and not d[-1]:
+        d.pop()
+    if len(d) == 1:
+        return []
+    if len(d) == 2:
+        return [-d[0] * pow(d[1], -1, p) % p]
+    _check_bins(p, p)
+    out = []
+    for r in range(p):
+        acc = 0
+        for x in reversed(d):
+            acc = (acc * r + x) % p
+        if not acc:
+            out.append(r)
+    return out
+
+
+def _prime_sum(c: Sequence[int], p: int) -> complex:
+    """(1/p) * sum_{n mod p} e(f(n)/p) for f(0) = 0 and integer c.
+
+    As functions on Z/p, n^j = n^(1 + (j-1) mod (p-1)) for j >= 1, so f
+    folds to degree at most p - 1; the folded degree picks the form.
+    """
+    a = [0] * min(len(c), p)
+    for j in range(1, len(c)):
+        a[1 + (j - 1) % (p - 1)] += c[j]
+    a = [x % p for x in a]
+    while a and not a[-1]:
+        a.pop()
+    deg = len(a) - 1
+    if deg <= 0:
+        return complex(1)
+    if deg == 1:
+        return 0j
+    if deg == 2:
+        # Gauss sum, p odd: sum e((a t^2 + b t)/p)
+        #   = e(-b^2 (4a)^-1 / p) * (a/p) * eps_p * sqrt(p)
+        _, b, a2 = a
+        phase = _e(-b * b * pow(4 * a2, -1, p), p)
+        legendre = 1 if pow(a2, (p - 1) // 2, p) == 1 else -1
+        eps = 1 if p % 4 == 1 else 1j
+        return phase * (legendre * eps / math.sqrt(p))
+    if deg == 3:
+        # p > 3: shift to a t^3 + b t + d and pair t with -t
+        d, b, _, a3 = _taylor_shift(a, -a[2] * pow(3 * a[3], -1, p), p)
+        hist = _residue_histogram((0, b, 0, a3), p, 1, 1, (p - 1) // 2)
+        half = sum(k * math.cos(TWO_PI * (r / p)) for r, k in enumerate(hist) if k)
+        return _e(d, p) * ((1 + 2 * half) / p)
+    return _residue_sum(a, p)
+
+
+def _prime_power_sum(c: Sequence[int], p: int, k: int) -> complex:
+    """(1/p^k) * sum_{n mod p^k} e(f(n)/p^k) for f with integer
+    coefficients c (ascending), by Hua's p-adic reduction.
+
+    The phase e(f(0)/p^k) comes out first.  A p-content p^s of the rest
+    reduces the modulus to p^(k-s).  For k >= 2, f(x + p^(k-1) y) =
+    f(x) + p^(k-1) y f'(x) (mod p^k) leaves only the x with p | f'(x), and
+    each such root r mod p contributes e(f(r)/p^k) times the sum of
+    f(r + p t) - f(r), whose content is at least p^2.  k = 1 goes to
+    _prime_sum.
+    """
+    q = p**k
+    c = [x % q for x in c] or [0]
+    phase = _e(c[0], q)
+    c[0] = 0
+    s = min((_valuation(x, p, k) for x in c[1:]), default=k)
+    if s == k:
+        return phase
+    if s:
+        ps = p**s
+        return phase * _prime_power_sum([0] + [x // ps for x in c[1:]], p, k - s)
+    if k == 1:
+        return phase * _prime_sum(c, p)
+    total = 0j
+    for r in _roots_mod_p([j * c[j] for j in range(1, len(c))], p):
+        g = _taylor_shift(c, r, q)  # g[0] = f(r)
+        total += _e(g[0], q) * _prime_power_sum(
+            [0] + [x * p**j for j, x in enumerate(g) if j], p, k
+        )
+    return phase * total / p
 
 
 def complete_sum(f: IntPoly, q: int) -> SumResult:
@@ -83,9 +220,17 @@ def complete_sum(f: IntPoly, q: int) -> SumResult:
     f may have rational coefficients as long as it is integer-valued.  With
     f = P / L (integer form): when gcd(L, q) = 1, f = P * L^-1 mod q has
     integer coefficients and the sum is the product over the prime powers
-    q_i of q of the sums S(u_i * f, q_i), u_i = (q / q_i)^-1 mod q_i (CRT).
-    Otherwise P is reduced mod q * L and f(n) mod q = (P(n) mod qL) // L.
-    Every residue is exact; `terms` stays q, the number of summands.
+    p^e of q of the sums S(u * f, p^e), u = (q / p^e)^-1 mod p^e (CRT).
+    Each of these is reduced exactly (`_prime_power_sum`): phase and
+    p-content out, stationary phase over the roots of f' mod p for e >= 2,
+    and at a prime the closed forms for folded degree 0 (the phase), 1
+    (exactly 0) and 2 (the Gauss sum), a half-range cosine sum for degree 3,
+    and the residue histogram otherwise.  Otherwise P is reduced mod q * L
+    and f(n) mod q = (P(n) mod qL) // L, by the histogram.  Every residue
+    and every reduction is exact integer arithmetic; floating point enters
+    only in the final roots of unity, sqrt(p) and cosines.  `terms` stays
+    q, the number of summands.  A histogram or root scan above 2^25 bins
+    raises ValueError before it allocates.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -98,11 +243,15 @@ def complete_sum(f: IntPoly, q: int) -> SumResult:
     if math.gcd(L, q) > 1:
         return SumResult(value=_residue_sum(P, q * L, L, start=1), terms=q)
     linv = pow(L, -1, q)
-    c = [p * linv % q for p in P]
+    c = [x * linv % q for x in P]
     value = complex(1)
-    for qi in _prime_power_factors(q):
+    for p, e in _prime_power_factors(q):
+        qi = p**e
         ui = pow(q // qi, -1, qi)
-        value *= _residue_sum([ui * x for x in c], qi)
+        value *= _prime_power_sum([ui * x for x in c], p, e)
+        if not value:
+            value = 0j  # an exact zero factor, without a signed zero
+            break
     return SumResult(value=value, terms=q)
 
 
@@ -189,6 +338,8 @@ def hua_experiment(
         raise ValueError("D must be >= 1")
     if not 0 < delta < 1.0 / D:
         raise BadDelta("need 0 < delta < 1/D")
+    if trials_per_q < 1:
+        raise ValueError("trials_per_q must be >= 1")
     rng = random.Random(seed)
     report = HuaReport(D=D, delta=delta)
     for q in q_list:

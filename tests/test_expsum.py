@@ -148,6 +148,12 @@ def test_hua_rejects_bad_delta():
         hua_experiment(2, 0.0, [10], trials_per_q=1, seed=0)
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+def test_hua_rejects_trials_below_one(trials):
+    with pytest.raises(ValueError, match="trials_per_q must be >= 1"):
+        hua_experiment(2, 0.1, [7], trials_per_q=trials, seed=1)
+
+
 def test_hua_report_serialization():
     d = hua_experiment(2, 0.1, [10], trials_per_q=1, seed=1).to_dict()
     assert d["degree"] == 2

@@ -287,6 +287,64 @@ def test_cli_expsum_hua(capsys):
     assert out["empirical_C"] > 0
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_cli_expsum_hua_rejects_trials_below_one(capsys, trials):
+    code = cli.main(
+        ["expsum", "--hua", "--q", "7", "--seed", "1", "--trials-per-q", trials]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "trials_per_q must be >= 1" in captured.err
+
+
+def test_cli_expsum_refuses_an_oversized_direct_sum(capsys):
+    code = cli.main(["expsum", "--coeffs", "0,0,0,1", "--q", "1000000007"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "needs 1000000007 residue bins mod 1000000007" in captured.err
+
+
+def test_cli_expsum_quadratic_at_a_large_prime(capsys):
+    q = 1000000007
+    code, out = run_cli(capsys, ["expsum", "--coeffs", "0,0,1", "--q", str(q)])
+    assert code == 0
+    assert out["magnitude"] == pytest.approx(q**-0.5, rel=1e-12)
+    assert out["terms"] == q
+
+
+def test_cli_expsum_cubic_at_two_to_the_forty(capsys):
+    code, out = run_cli(capsys, ["expsum", "--coeffs", "0,0,0,1", "--q", str(2**40)])
+    assert code == 0
+    assert out["value"] == [0.0, 0.0]
+
+
+def test_cli_parser_is_reused_without_leaking_state(tmp_path, capsys):
+    """One parser serves every call of a process: no appended option, and
+    no argparse exit, carries over to the next call."""
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0\n1/2\n1/3\n")
+    code, out = run_cli(capsys, ["spectrum", str(pts), "--r", "0.5"])
+    assert code == 0
+    assert list(out["weighted_sums"]) == ["0.5"]
+    code, out = run_cli(capsys, ["spectrum", str(pts)])
+    assert code == 0
+    assert out["weighted_sums"] == {}
+
+    hua = ["expsum", "--hua", "--seed", "1", "--trials-per-q", "2"]
+    code, out = run_cli(capsys, hua + ["--q", "7"])
+    assert code == 0
+    assert [s["q"] for s in out["samples"]] == [7, 7]
+    with pytest.raises(SystemExit):
+        cli.main(["expsum", "--hua", "--q", "seven"])
+    capsys.readouterr()
+    code, out = run_cli(capsys, hua + ["--q", "11"])
+    assert code == 0
+    assert [s["q"] for s in out["samples"]] == [11, 11]
+    assert cli._parser() is cli._parser()
+
+
 def test_cli_spectrum(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     pts.write_text("0\n1/2\n1/3\n")

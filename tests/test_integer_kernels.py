@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from glasnerlab.errors import NonIntegerValue
-from glasnerlab.expsum import _prime_power_factors, complete_sum
+from glasnerlab import expsum
+from glasnerlab.expsum import _prime_power_factors, _residue_sum, complete_sum
 from glasnerlab.polymat import IntPoly
 
 TWO_PI = 2.0 * math.pi
@@ -124,8 +125,12 @@ def test_complete_sum_rejects_non_integer_valued(q):
 
 @given(st.integers(1, 10**7))
 def test_prime_power_factors_split_q(q):
-    parts = _prime_power_factors(q)
+    pairs = _prime_power_factors(q)
+    parts = [p**e for p, e in pairs]
     assert math.prod(parts) == q
+    for p, e in pairs:
+        assert e >= 1
+        assert all(p % d for d in range(2, math.isqrt(p) + 1))
     for i, a in enumerate(parts):
         for b in parts[i + 1:]:
             assert math.gcd(a, b) == 1
@@ -151,3 +156,204 @@ def test_integer_form_is_cached():
     assert (P, L) == ((2, -9, 24), 12)
     assert f.integer_form() is f.integer_form()
     assert IntPoly().integer_form() == ((), 1)
+
+
+# ---------------------------------------------- p-adic reduction, closed forms
+
+
+@st.composite
+def prime_power_polys(draw):
+    """(coefficients, p, k): p^k <= 4096, degree 1..6, and half the draws
+    with every non-constant coefficient multiplied by p or p^2."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    k = draw(st.integers(1, {2: 12, 3: 7, 5: 5, 7: 4, 11: 3}[p]))
+    deg = draw(st.integers(1, 6))
+    c = draw(st.lists(st.integers(-10**6, 10**6), min_size=deg + 1, max_size=deg + 1))
+    if draw(st.booleans()):
+        m = p ** draw(st.integers(1, 2))
+        c = [c[0]] + [x * m for x in c[1:]]
+    return c, p, k
+
+
+@KERNEL
+@given(prime_power_polys())
+def test_prime_power_sum_matches_direct_sum(case):
+    c, p, k = case
+    assert_matches_direct(IntPoly(c), p**k)
+
+
+@pytest.mark.parametrize(
+    "coeffs, q",
+    [
+        ([0, 2, 1], 2**9),  # n^2 + 2n: f' = 2n + 2 = 0 mod 2 everywhere
+        ([0, 3, 0, 1], 3**6),  # n^3 + 3n: f' = 3n^2 + 3 = 0 mod 3 everywhere
+        ([1, 0, 3, 0, 0, 0, 0, 0, 0, 0, 5], 5**4),  # f' = 0 mod 5 everywhere
+        ([0, 0, 0, 1], 2**10),  # n^3: f' = 3n^2 has the double root 0 mod 2
+        ([0, 4, 2], 3**7),  # f' = 4n + 4: the one root 2 mod 3
+        ([0, -3, 0, 1], 7**4),  # n^3 - 3n: roots 1 and -1 of f' mod 7
+        ([5, 0, -2, 0, 1], 7**4),  # n^4 - 2n^2: roots 0, 1 and -1 mod 7
+    ],
+)
+def test_prime_power_sum_stationary_points(coeffs, q):
+    assert_matches_direct(IntPoly(coeffs), q)
+
+
+def test_prime_power_sum_no_stationary_point_is_exactly_zero():
+    # f' = 6n^2 + 1 is 1 mod 2 and mod 3: no root, so every term cancels
+    for q in (2**12, 3**7, 2**40, 6**20):
+        assert complete_sum(IntPoly([5, 1, 0, 2]), q).value == 0j
+
+
+def test_prime_power_sum_content_reduces_the_modulus():
+    """S(p^s g, p^k) = S(g, p^(k-s)), and S = e(f(0)/q) when p^k divides
+    every non-constant coefficient."""
+    g = [0, 3, -1, 4]
+    for p, k, s in ((2, 9, 3), (3, 6, 2), (5, 4, 1)):
+        f = IntPoly([0] + [x * p**s for x in g[1:]])
+        assert complete_sum(f, p**k).value == pytest.approx(
+            complete_sum(IntPoly(g), p ** (k - s)).value, abs=1e-12
+        )
+        assert_matches_direct(f, p**k)
+    whole = complete_sum(IntPoly([5, 2**6, 3 * 2**7]), 2**6).value
+    assert whole == pytest.approx(cmath.exp(2j * math.pi * 5 / 64), abs=1e-15)
+
+
+def test_cubic_at_two_to_the_forty():
+    """S(n^3, 2^k) = S(n^3, 2^(k-3)) / 2 for k >= 4 (checked against the
+    direct sum up to 2^12), so S(n^3, 2^39) = 2^-13 and S(n^3, 2^40) = 0."""
+    f = IntPoly([0, 0, 0, 1])
+    for k in range(1, 13):
+        assert_matches_direct(f, 2**k)
+    for k in range(4, 41):
+        assert complete_sum(f, 2**k).value == pytest.approx(
+            complete_sum(f, 2 ** (k - 3)).value / 2, abs=1e-15
+        )
+    assert complete_sum(f, 2**39).value == pytest.approx(2**-13, abs=1e-15)
+    res = complete_sum(IntPoly([3, -1, 5, 7]), 2**40)
+    assert res.terms == 2**40
+    assert res.magnitude <= 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_gauss_sum_at_high_prime_powers(p):
+    """S(n^2, p^k) = p^(-k/2) for even k and eps_p p^(-k/2) for odd k,
+    eps_p = 1 or i as p = 1 or 3 mod 4."""
+    eps = 1 if p % 4 == 1 else 1j
+    for k in range(1, 26):
+        want = p ** (-k / 2) * (eps if k % 2 else 1)
+        assert complete_sum(IntPoly([0, 0, 1]), p**k).value == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 7, 11, 19])
+def test_gauss_sum_every_leading_coefficient(p):
+    """a over all of 1..p-1 covers both outcomes of Euler's criterion, at
+    p = 1 and p = 3 mod 4."""
+    for a in range(1, p):
+        for b, c in ((0, 0), (3, 1), (p - 1, 4)):
+            f = IntPoly([c, b, a])
+            res = complete_sum(f, p)
+            assert res.magnitude == pytest.approx(p**-0.5, abs=1e-15)
+            assert_matches_direct(f, p)
+
+
+@pytest.mark.parametrize(
+    "p, a, want",
+    [
+        (13, 1, 13**-0.5),  # p = 1 mod 4, residue
+        (13, 2, -(13**-0.5)),  # p = 1 mod 4, non-residue
+        (11, 3, 1j * 11**-0.5),  # p = 3 mod 4, residue
+        (11, 2, -1j * 11**-0.5),  # p = 3 mod 4, non-residue
+    ],
+)
+def test_gauss_sum_sign_and_quarter_turn(p, a, want):
+    assert complete_sum(IntPoly([0, 0, a]), p).value == pytest.approx(want, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "coeffs, p",
+    [
+        ([0, 0, 0, 1], 31),  # a t^3: b = 0 and no linear term
+        ([4, 7, 0, 2], 101),  # depressed already: b = 0
+        ([0, 7, 5, 2], 101),  # shifted by -b (3a)^-1
+        ([9, -4, 11, -3], 1999),
+    ],
+)
+def test_cubic_half_range_form(coeffs, p):
+    assert_matches_direct(IntPoly(coeffs), p)
+
+
+@pytest.mark.parametrize("coeffs", [[0, 1, 1, 1], [2, 0, 1, 2], [0, 1, 0, 1], [0, 2, 0, 2]])
+def test_p3_cubics(coeffs):
+    """At p = 3, n^3 = n as functions, so a cubic folds to degree <= 2."""
+    for q in (3, 9, 27, 81, 3 * 7 * 8):
+        assert_matches_direct(IntPoly(coeffs), q)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_monomials_fold_at_a_prime(p):
+    """n^j = n^(1 + (j-1) mod (p-1)) on Z/p, for every j up to 3p."""
+    for j in range(1, 3 * p + 1):
+        for a in (1, 2):
+            assert_matches_direct(IntPoly([0] * j + [a]), p)
+            assert_matches_direct(IntPoly([1, 1] + [0] * (j - 1) + [a]), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_n_to_the_p_minus_n_folds_to_zero(p):
+    res = complete_sum(IntPoly([0, -1] + [0] * (p - 2) + [1]), p)
+    assert res.value == 1
+    assert_matches_direct(IntPoly([0, -1] + [0] * (p - 2) + [1]), p)
+
+
+@pytest.mark.parametrize("q", [7, 2**10, 3**5, 7 * 9 * 16, 10**9 + 7])
+def test_coprime_linear_sum_is_exactly_zero(q):
+    for c0 in range(-30, 30):
+        value = complete_sum(IntPoly([c0, 5]), q).value
+        # +0.0 parts: no signed zero reaches the JSON output
+        assert (math.copysign(1, value.real), math.copysign(1, value.imag)) == (1, 1)
+        assert value == 0j
+
+
+def test_prime_sum_forms_by_folded_degree(monkeypatch):
+    """Only a folded degree of 3 or more at a prime builds a histogram:
+    (p - 1)/2 values for the cubic form, p for the direct sum."""
+    counts = []
+    real = expsum._residue_histogram
+
+    def spy(P, mod, div, start, count):
+        counts.append((mod, count))
+        return real(P, mod, div, start, count)
+
+    monkeypatch.setattr(expsum, "_residue_histogram", spy)
+    for coeffs in ([0, 5], [1, 2, 3], [0, -1, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 0, 3]):
+        complete_sum(IntPoly(coeffs), 7)
+    assert counts == []  # linear, Gauss, n^7 - n = 0 and 3n^7 = 3n
+    complete_sum(IntPoly([0, 1, 0, 1]), 7)
+    assert counts == [(7, 3)]
+    complete_sum(IntPoly([0, 1, 0, 0, 1]), 7)
+    assert counts == [(7, 3), (7, 7)]
+
+
+def test_residue_sum_refuses_an_oversized_histogram():
+    with pytest.raises(ValueError, match=r"needs 1000000007 residue bins mod 1000000007"):
+        _residue_sum([0, 0, 0, 1], 10**9 + 7)
+    with pytest.raises(ValueError, match=r"needs 1073741824 residue bins mod 2147483648"):
+        # gcd(L, q) > 1: the direct sum over q * L
+        complete_sum(binomial(2), 2**30)
+    with pytest.raises(ValueError, match=r"needs 1000000007 residue bins"):
+        complete_sum(IntPoly([0, 0, 0, 1]), 10**9 + 7)
+
+
+def test_stationary_phase_roots_above_the_scan_limit():
+    """f' of degree <= 1 mod p is solved directly; a larger f' is scanned
+    over the residues mod p, which refuses p = 2^25 + 35."""
+    p = 33554467
+    assert expsum._prime_power_sum([0, 0, 1], p, 2) == pytest.approx(1 / p, rel=1e-12)
+    assert expsum._prime_power_sum([0, 1, 0, 0, 0, p], p, 3) == 0j
+    with pytest.raises(ValueError, match=rf"needs {p} residue bins mod {p}"):
+        expsum._prime_power_sum([0, 0, 0, 1], p, 2)
+
+
+def test_quadratic_at_a_large_prime():
+    q = 10**9 + 7
+    assert complete_sum(IntPoly([0, 0, 1]), q).magnitude == pytest.approx(q**-0.5, rel=1e-12)
