@@ -13,13 +13,12 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import product
 from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from .errors import BadGcd, HypothesisFailed, ZeroVector
-from .intmat import IntMat, bareiss_det, gcd_vec, left_kernel_integer
+from .intmat import IntMat, IntSpan, bareiss_det, gcd_vec, left_kernel_integer
 from .polymat import IntPoly, PolyMat, bilinear_poly, coeff_matrices, coeff_norm
 
 
@@ -68,26 +67,20 @@ def check_pair(A: PolyMat, v: Sequence[int], w: Sequence[int]) -> bool:
     return (p - IntPoly.const(p.constant_term())).degree >= 1
 
 
-def _integer_cleared_columns(bs, d: int, w: Sequence[int]):
-    """Columns B_k w for k >= 1, denominators cleared per column (rank and
-    left kernel are unchanged by column scaling)."""
-    cols = []
-    for B in bs[1:]:
-        col = [sum(B[i][j] * int(w[j]) for j in range(d)) for i in range(d)]
-        den = math.lcm(*(Fraction(c).denominator for c in col))
-        cols.append([int(c * den) for c in col])
-    return cols
-
-
 def fleeing_matrix(A: PolyMat, w: Sequence[int]) -> Optional[IntMat]:
     """The d x D matrix with column k equal to B_k w (k = 1..D).
 
     Returns None for a constant A (no columns).  Rational coefficient
-    matrices are cleared to integers column by column.
+    matrices are cleared to integers column by column, which changes
+    neither the rank nor the left kernel.
     """
     if len(w) != A.dim:
         raise ValueError("w must have length d")
-    cols = _integer_cleared_columns(coeff_matrices(A), A.dim, w)
+    cols = []
+    for B in coeff_matrices(A)[1:]:
+        col = [sum(c * int(x) for c, x in zip(row, w)) for row in B]
+        den = math.lcm(*(c.denominator for c in col))
+        cols.append([int(c * den) for c in col])
     if not cols:
         return None
     return IntMat([list(r) for r in zip(*cols)])
@@ -95,44 +88,34 @@ def fleeing_matrix(A: PolyMat, w: Sequence[int]) -> Optional[IntMat]:
 
 def _integer_scaled(B):
     """B times the lcm of its denominators, as integer row tuples."""
-    den = math.lcm(*(Fraction(c).denominator for row in B for c in row))
-    return [tuple(int(c * den) for c in row) for row in B]
+    den = math.lcm(*(c.denominator for row in B for c in row))
+    return [tuple(c.numerator * (den // c.denominator) for c in row) for row in B]
 
 
 class _FleeingScan:
     """Cached per-matrix state for scanning many candidate w.
 
-    Coefficient matrices are extracted once, and integer copies of the
-    first d nonzero B_k (k >= 1), each scaled by the lcm of its own
-    denominators.  For each w an integer determinant filter runs first: the
-    d columns of those copies times w have a nonzero Bareiss determinant
-    iff they are independent, and then the fleeing matrix has full rank and
-    w cannot violate.  Scaling a column by a positive integer changes
-    neither the rank nor the left kernel, so the filter is exact.  Only a
+    One integer copy of each nonzero B_k (k >= 1) is kept, each scaled by
+    the lcm of its own denominators; scaling a column by a positive integer
+    changes neither the rank nor the left kernel.  For each w an integer
+    determinant filter runs first: the d columns of the first d copies
+    times w have a nonzero Bareiss determinant iff they are independent,
+    and then the fleeing matrix has full rank and w cannot violate.  Only a
     zero determinant, or fewer than d nonzero B_k, sends w to the exact
-    fallback: all columns B_k w fed into an incremental Fraction span with
-    early exit at full rank, then the integer left kernel.
+    fallback: all columns B_k w fed into an IntSpan, with early exit at
+    full rank.  Below full rank, w violates, and v comes from the integer
+    left kernel of the fleeing matrix cleared by one common denominator.
     """
 
     def __init__(self, A: PolyMat):
         self.A = A
         self.d = A.dim
-        bs = coeff_matrices(A)
-        # demote to plain ints where possible; column sums stay in int arithmetic
-        self.bs = [
-            [
-                [c.numerator if c.denominator == 1 else c for c in row]
-                for row in B
-            ]
-            for B in bs
+        self.int_bs = [
+            _integer_scaled(B)
+            for B in coeff_matrices(A)[1:]
+            if any(any(row) for row in B)
         ]
-        self.ncols = len(self.bs) - 1
-        nonzero = [B for B in bs[1:] if any(any(row) for row in B)]
-        self.det_bs = (
-            [_integer_scaled(B) for B in nonzero[: self.d]]
-            if len(nonzero) >= self.d
-            else None
-        )
+        self.det_bs = self.int_bs[: self.d] if len(self.int_bs) >= self.d else None
 
     def violating_v(self, w) -> Optional[Tuple[int, ...]]:
         """A primitive v with v^t (A(x) - A(0)) w = 0, or None at full rank.
@@ -140,34 +123,21 @@ class _FleeingScan:
         The entries of w must be ints.
         """
         d = self.d
-        if self.ncols == 0:
+        if not self.int_bs:
             return tuple([1] + [0] * (d - 1))
         if self.det_bs is not None:
             # the columns as rows: the transpose has the same determinant
             if bareiss_det([[sum(map(mul, row, w)) for row in B] for B in self.det_bs]):
                 return None
-        span_rows: list = []
-        pivots: list = []
-        cols = []
-        for B in self.bs[1:]:
-            col = [sum(B[i][j] * int(w[j]) for j in range(d)) for i in range(d)]
-            cols.append(col)
-            v = [Fraction(x) for x in col]
-            for row, p in zip(span_rows, pivots):
-                if v[p]:
-                    f = v[p]
-                    v = [a - f * b for a, b in zip(v, row)]
-            for p, x in enumerate(v):
-                if x:
-                    span_rows.append([a / x for a in v])
-                    pivots.append(p)
-                    break
-            if len(span_rows) == d:
+        span = IntSpan()
+        for B in self.int_bs:
+            if span.add([sum(map(mul, row, w)) for row in B]) and span.dim == d:
                 return None
-        den = math.lcm(
-            *(Fraction(c).denominator for col in cols for c in col)
+        cols = [[sum(map(mul, row, w)) for row in B] for B in coeff_matrices(self.A)[1:]]
+        den = math.lcm(*(c.denominator for col in cols for c in col))
+        M = IntMat(
+            [[c.numerator * (den // c.denominator) for c in r] for r in zip(*cols)]
         )
-        M = IntMat([[int(c * den) for c in (col[i] for col in cols)] for i in range(d)])
         basis = left_kernel_integer(M)
         return min(basis) if basis else None
 

@@ -45,10 +45,20 @@ _MAX_BINS = 1 << 25
 
 
 def _prime_power_factors(q: int) -> List[Tuple[int, int]]:
-    """The pairs (p, e) with p^e exactly dividing q, by trial division."""
+    """The pairs (p, e) with p^e exactly dividing q, by trial division.
+
+    Raises ValueError once the trial divisor passes _MAX_BINS with the
+    cofactor still unfactored, so every q below _MAX_BINS^2 factors.
+    """
+    n = q
     out = []
     p = 2
     while p * p <= q:
+        if p > _MAX_BINS:
+            raise ValueError(
+                f"cannot factor q = {n}: its cofactor {q} has no prime "
+                f"factor up to the trial division limit of {_MAX_BINS}"
+            )
         if q % p == 0:
             e = 0
             while q % p == 0:

@@ -8,6 +8,8 @@ exact rational "p/q" (bare integers count as exact) or a decimal literal;
 mixing exact and decimal coordinates in one file is an error.
 
 Generator list: JSON array of square integer matrices (row-major arrays).
+
+In both JSON formats, true and false are not integers.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def parse_polymat(text: str) -> PolyMat:
         raise FormatError('expected an object with keys "d" and "entries"')
     d = obj["d"]
     entries = obj["entries"]
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise FormatError('"d" must be a positive integer')
     if not isinstance(entries, list) or len(entries) != d:
         raise FormatError(f'"entries" must be a {d}x{d} array')
@@ -42,7 +44,7 @@ def parse_polymat(text: str) -> PolyMat:
         out = []
         for coeffs in row:
             if not isinstance(coeffs, list) or not all(
-                isinstance(c, int) for c in coeffs
+                type(c) is int for c in coeffs
             ):
                 raise FormatError("each entry must be a list of integer coefficients")
             out.append(IntPoly(coeffs))
@@ -138,7 +140,7 @@ def parse_generators(text: str) -> List[IntMat]:
         if (
             not isinstance(m, list)
             or not all(isinstance(row, list) for row in m)
-            or not all(isinstance(x, int) for row in m for x in row)
+            or not all(type(x) is int for row in m for x in row)
         ):
             raise FormatError("each generator must be a row-major integer matrix")
         try:

@@ -1,17 +1,15 @@
 """Exact integer/rational linear algebra.
 
-Everything here runs on Python's arbitrary-precision integers (and Fraction
-where rationals are unavoidable).  The central routine is the Smith normal
-form with unimodular transforms on both sides, which also powers integer
-left-kernel extraction.
+Everything here runs on Python's arbitrary-precision integers.  Rank and
+span over Q go through the fraction-free IntSpan.  The central routine is
+the Smith normal form with unimodular transforms on both sides, which also
+powers integer left-kernel extraction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
 
 from .errors import BadGcd, DependentVectors, DimensionMismatch
 
@@ -52,6 +50,54 @@ def bareiss_det(a) -> int:
             ai[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+class IntSpan:
+    """Incremental span over Q of integer vectors, fraction-free.
+
+    Each row is a primitive integer vector whose pivot (its first nonzero
+    entry) is positive; every row is zero at the pivots of the rows before
+    it.  A vector is reduced by cross-multiplying it with each row's pivot
+    and subtracting, then dividing out its content, so only integers are
+    ever formed.  Vectors must have integer entries.
+    """
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self):
+        self.rows = []
+        self.pivots = []
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, vec):
+        v = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            f = v[p]
+            if f:
+                a = row[p]
+                v = [a * x - f * y for x, y in zip(v, row)]
+                g = math.gcd(*v)
+                if g > 1:
+                    v = [x // g for x in v]
+        return v
+
+    def add(self, vec) -> bool:
+        """Reduce vec against the rows; True if the span grew."""
+        v = self._reduce(vec)
+        for p, x in enumerate(v):
+            if x:
+                g = math.gcd(*v) if x > 0 else -math.gcd(*v)
+                self.rows.append(tuple(y // g for y in v))
+                self.pivots.append(p)
+                return True
+        return False
+
+    def contains(self, vec) -> bool:
+        """True iff vec lies in the span."""
+        return not any(self._reduce(vec))
 
 
 class IntMat:
@@ -299,30 +345,11 @@ def smith_normal_form(M: IntMat) -> SNFResult:
 
 
 def rank_rational(M: IntMat) -> int:
-    """Rank over the rationals via exact Gaussian elimination."""
-    a = [[Fraction(x) for x in row] for row in M.entries]
-    rank = 0
-    col = 0
-    while rank < M.rows and col < M.cols:
-        piv = None
-        for i in range(rank, M.rows):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pr = a[rank]
-        inv = 1 / pr[col]
-        a[rank] = pr = [x * inv for x in pr]
-        for i in range(rank + 1, M.rows):
-            f = a[i][col]
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], pr)]
-        rank += 1
-        col += 1
-    return rank
+    """Rank over the rationals, by fraction-free elimination (IntSpan)."""
+    span = IntSpan()
+    for row in M.entries:
+        span.add(row)
+    return span.dim
 
 
 def left_kernel_integer(M: IntMat):
@@ -372,44 +399,3 @@ def verify_gcd_bound(vectors, a, q: int) -> GcdBoundCheck:
     lhs = math.gcd(gcd_vec(comb), q)
     rhs = math.factorial(d) * max(max(abs(int(x)) for x in v) for v in vectors) ** d
     return GcdBoundCheck(lhs=lhs, rhs=rhs, ok=lhs <= rhs)
-
-
-def determinantal_divisors(M: IntMat):
-    """gcd of all k x k minors for k = 1..min(rows, cols); brute force.
-
-    Intended as a small-dimension oracle for the Smith form.
-    """
-    out = []
-    n = min(M.rows, M.cols)
-    for k in range(1, n + 1):
-        g = 0
-        for rset in combinations(range(M.rows), k):
-            for cset in combinations(range(M.cols), k):
-                sub = IntMat([[M.entries[i][j] for j in cset] for i in rset])
-                g = math.gcd(g, abs(sub.det()))
-        out.append(g)
-    return out
-
-
-def inverse_unimodular(M: IntMat) -> IntMat:
-    """Exact inverse of a matrix with determinant +-1 (adjugate method)."""
-    det = M.det()
-    if det not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    n = M.rows
-    if n == 1:
-        return IntMat([[det]])
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = IntMat(
-                [
-                    [M.entries[r][c] for c in range(n) if c != j]
-                    for r in range(n)
-                    if r != i
-                ]
-            )
-            adj[j][i] = (-1) ** (i + j) * minor.det()
-    if det == -1:
-        adj = [[-x for x in row] for row in adj]
-    return IntMat(adj)

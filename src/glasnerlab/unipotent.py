@@ -22,7 +22,7 @@ from .errors import (
     NotUnipotent,
     ZeroVector,
 )
-from .intmat import IntMat, inverse_unimodular
+from .intmat import IntMat, IntSpan
 from .polymat import MPoly, MPolyMat, PolyMat, substitute
 
 
@@ -37,6 +37,16 @@ def is_unipotent(u: IntMat) -> bool:
             return True
         p = p @ n
     return all(x == 0 for row in p.entries for x in row)
+
+
+def _unipotent_inverse(u: IntMat) -> IntMat:
+    """u^{-1} = sum_{j<d} (-N)^j with N = u - I, valid since N^d = 0."""
+    neg = IntMat.identity(u.rows) - u
+    acc = term = IntMat.identity(u.rows)
+    for _ in range(u.rows - 1):
+        term = term @ neg
+        acc = acc + term
+    return acc
 
 
 class UnipotentSystem:
@@ -57,7 +67,7 @@ class UnipotentSystem:
                 raise NotUnipotent(f"{u!r} is not unipotent")
         self.d = d
         self.generators = list(generators)
-        self.inverses = [inverse_unimodular(u) for u in generators]
+        self.inverses = [_unipotent_inverse(u) for u in generators]
 
     @property
     def m(self) -> int:
@@ -117,39 +127,11 @@ def word_product(sys: UnipotentSystem, length: int) -> MPolyMat:
     return acc
 
 
-class _Span:
-    """Incremental rational span with exact Gaussian elimination."""
-
-    def __init__(self, length: int):
-        self.length = length
-        self.rows: List[List[Fraction]] = []
-        self.pivots: List[int] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def add(self, vec) -> bool:
-        """Reduce vec against the basis; returns True if the span grew."""
-        v = [Fraction(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        for p, x in enumerate(v):
-            if x:
-                self.rows.append([a / x for a in v])
-                self.pivots.append(p)
-                return True
-        return False
-
-    def contains(self, vec) -> bool:
-        v = [Fraction(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return not any(v)
+def _cleared(v) -> List[int]:
+    """The rational vector v times the lcm of its denominators."""
+    ratios = [x.as_integer_ratio() for x in v]
+    den = math.lcm(*(b for _, b in ratios))
+    return [a * (den // b) for a, b in ratios]
 
 
 def cayley_span_dim(sys: UnipotentSystem, v: Sequence, r: int) -> int:
@@ -157,8 +139,8 @@ def cayley_span_dim(sys: UnipotentSystem, v: Sequence, r: int) -> int:
     to v, over the symmetrized generating set."""
     if not any(v):
         raise ZeroVector("v must be nonzero")
-    span = _Span(sys.d)
-    span.add(v)
+    span = IntSpan()
+    span.add(_cleared(v))
     gens = sys.symmetrized()
     for _ in range(r):
         grew = False
@@ -179,9 +161,9 @@ def cayley_affine_span_dim(sys: UnipotentSystem, v: Sequence, r: int) -> int:
     """
     if not any(v):
         raise ZeroVector("v must be nonzero")
-    v = [Fraction(x) for x in v]
+    v = _cleared(v)
     gens = sys.symmetrized()
-    W = _Span(sys.d)
+    W = IntSpan()
     for _ in range(r):
         grew = False
         for g in gens:
@@ -206,14 +188,14 @@ class IrreducibilityStatus(Enum):
 class IrreducibilityVerdict:
     status: IrreducibilityStatus
     algebra_dim: int
-    witness: Optional[List[Tuple[Fraction, ...]]] = None
+    witness: Optional[List[Tuple[int, ...]]] = None
 
 
 def _algebra_basis(sys: UnipotentSystem) -> List[IntMat]:
     """Basis of the span of all words in the symmetrized generators;
     closure under left multiplication starting from I."""
     d = sys.d
-    span = _Span(d * d)
+    span = IntSpan()
     basis_mats: List[IntMat] = []
 
     def try_add(mat: IntMat) -> bool:
@@ -246,21 +228,16 @@ def _invariant_subspace_witness(sys: UnipotentSystem, basis_mats: List[IntMat]):
     for seed in seeds:
         if not any(seed):
             continue
-        orbit = _Span(d)
+        orbit = IntSpan()
         for b in basis_mats:
             orbit.add(b.mul_vec(seed))
-        if 0 < orbit.dim < d:
-            # verify invariance directly
-            ok = True
-            for g in sys.symmetrized():
-                for row in orbit.rows:
-                    if not orbit.contains(g.mul_vec(row)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return [tuple(row) for row in orbit.rows]
+        # verify invariance directly
+        if 0 < orbit.dim < d and all(
+            orbit.contains(g.mul_vec(row))
+            for g in sys.symmetrized()
+            for row in orbit.rows
+        ):
+            return list(orbit.rows)
     return None
 
 
@@ -307,7 +284,8 @@ def adjoint_rep(g: IntMat) -> IntMat:
         raise ValueError("adjoint_rep expects a 2x2 matrix")
     if g.det() != 1:
         raise BadDeterminant("determinant must be 1")
-    ginv = inverse_unimodular(g)
+    (a, b), (c, d) = g.entries
+    ginv = IntMat([[d, -b], [-c, a]])
     cols = []
     for b in _SL2_BASIS:
         img = g @ b @ ginv

@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -54,3 +56,45 @@ def random_poly_matrix(rng: random.Random, d: int, degree: int, bound: int) -> P
             for _ in range(d)
         ]
     )
+
+
+def determinantal_divisors(M: IntMat):
+    """gcd of all k x k minors for k = 1..min(rows, cols); brute force.
+
+    A small-dimension oracle for the Smith form.
+    """
+    out = []
+    n = min(M.rows, M.cols)
+    for k in range(1, n + 1):
+        g = 0
+        for rset in combinations(range(M.rows), k):
+            for cset in combinations(range(M.cols), k):
+                sub = IntMat([[M.entries[i][j] for j in cset] for i in rset])
+                g = math.gcd(g, abs(sub.det()))
+        out.append(g)
+    return out
+
+
+def adjugate_inverse(M: IntMat) -> IntMat:
+    """Exact inverse of a matrix with determinant +-1 (adjugate method);
+    an oracle for the closed-form inverses."""
+    det = M.det()
+    if det not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    n = M.rows
+    if n == 1:
+        return IntMat([[det]])
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = IntMat(
+                [
+                    [M.entries[r][c] for c in range(n) if c != j]
+                    for r in range(n)
+                    if r != i
+                ]
+            )
+            adj[j][i] = (-1) ** (i + j) * minor.det()
+    if det == -1:
+        adj = [[-x for x in row] for row in adj]
+    return IntMat(adj)

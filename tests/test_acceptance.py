@@ -26,7 +26,6 @@ from glasnerlab.expsum import complete_sum, hua_experiment, orbit_average
 from glasnerlab.errors import HypothesisFailed
 from glasnerlab.intmat import (
     IntMat,
-    determinantal_divisors,
     gcd_vec,
     rank_rational,
     smith_normal_form,
@@ -49,7 +48,12 @@ from glasnerlab.unipotent import (
     construct_polynomial,
 )
 
-from conftest import ACCEPTANCE_LINES, random_int_matrix, random_poly_matrix
+from conftest import (
+    ACCEPTANCE_LINES,
+    determinantal_divisors,
+    random_int_matrix,
+    random_poly_matrix,
+)
 
 X_MATRIX_1D = '{"d": 1, "entries": [[[0, 1]]]}'
 

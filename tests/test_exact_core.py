@@ -1,21 +1,126 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from glasnerlab.errors import BadGcd, DependentVectors
 from glasnerlab.intmat import (
     IntMat,
-    determinantal_divisors,
+    IntSpan,
     gcd_vec,
-    inverse_unimodular,
     left_kernel_integer,
     rank_rational,
     smith_normal_form,
     verify_gcd_bound,
 )
 
-from conftest import random_int_matrix
+from conftest import determinantal_divisors, random_int_matrix
+
+
+class FractionSpan:
+    """The incremental rational span before IntSpan: exact Gaussian
+    elimination on Fraction rows normalized to pivot 1.  A test oracle."""
+
+    def __init__(self):
+        self.rows = []
+        self.pivots = []
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def add(self, vec):
+        v = [Fraction(x) for x in vec]
+        for row, p in zip(self.rows, self.pivots):
+            if v[p]:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, row)]
+        for p, x in enumerate(v):
+            if x:
+                self.rows.append([a / x for a in v])
+                self.pivots.append(p)
+                return True
+        return False
+
+    def contains(self, vec):
+        v = [Fraction(x) for x in vec]
+        for row, p in zip(self.rows, self.pivots):
+            if v[p]:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, row)]
+        return not any(v)
+
+
+def fraction_rank(M: IntMat) -> int:
+    """rank_rational before IntSpan: Gaussian elimination over Fraction."""
+    a = [[Fraction(x) for x in row] for row in M.entries]
+    rank = 0
+    col = 0
+    while rank < M.rows and col < M.cols:
+        piv = None
+        for i in range(rank, M.rows):
+            if a[i][col]:
+                piv = i
+                break
+        if piv is None:
+            col += 1
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        pr = a[rank]
+        inv = 1 / pr[col]
+        a[rank] = pr = [x * inv for x in pr]
+        for i in range(rank + 1, M.rows):
+            f = a[i][col]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], pr)]
+        rank += 1
+        col += 1
+    return rank
+
+
+@st.composite
+def vector_lists(draw):
+    """Integer vectors of one length 1..9, entries in +-3 or +-10^30, with
+    zero vectors, repeats and multiples of earlier vectors mixed in."""
+    n = draw(st.integers(1, 9))
+    entry = st.integers(-3, 3) | st.integers(-10**30, 10**30)
+    vecs = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["new", "new", "zero", "repeat"]))
+        if kind == "zero":
+            vecs.append([0] * n)
+        elif kind == "repeat" and vecs:
+            vecs.append([draw(st.integers(-5, 5)) * x for x in draw(st.sampled_from(vecs))])
+        else:
+            vecs.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    return vecs
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_lists(), st.data())
+def test_int_span_matches_fraction_span(vecs, data):
+    span, oracle = IntSpan(), FractionSpan()
+    for v in vecs:
+        assert span.add(v) == oracle.add(v)
+        assert span.dim == oracle.dim
+        assert span.pivots == oracle.pivots
+    for row, p in zip(span.rows, span.pivots):
+        assert gcd_vec(row) == 1 and row[p] > 0
+        assert all(type(x) is int for x in row)
+        assert oracle.contains(row)
+    for row in oracle.rows:
+        den = math.lcm(*(x.denominator for x in row))
+        assert span.contains([int(x * den) for x in row])
+    n = len(vecs[0])
+    probes = vecs + [[a - 2 * b for a, b in zip(vecs[0], vecs[-1])]]
+    probes += [[int(i == j) for j in range(n)] for i in range(n)]
+    probes.append(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    for v in probes:
+        assert span.contains(v) == oracle.contains(v)
+    M = IntMat(vecs)
+    assert rank_rational(M) == fraction_rank(M) == oracle.dim
 
 
 @pytest.mark.parametrize(
@@ -171,18 +276,8 @@ def test_gcd_bound_property_random():
             continue
         q = rng.randint(1, 10**4)
         a = tuple(rng.randint(-50, 50) for _ in range(d))
-        import math
-
         if math.gcd(gcd_vec(a), q) != 1:
             continue
         assert verify_gcd_bound(vectors, a, q).ok
         checked += 1
 
-
-def test_inverse_unimodular():
-    rng = random.Random(4)
-    for _ in range(30):
-        # random unimodular matrix via the SNF transforms
-        M = random_int_matrix(rng, 3, 3, 10)
-        L = smith_normal_form(M).left
-        assert L @ inverse_unimodular(L) == IntMat.identity(3)

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,27 @@ def test_cli_construct_not_certified(matrix_file, capsys):
     code = cli.main(["construct", gens, "--seed", "3"])
     capsys.readouterr()
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"d": true, "entries": [[[0, 1]]]}', '{"d": 1, "entries": [[[0, true]]]}'],
+)
+def test_cli_check_rejects_booleans_in_a_matrix_file(matrix_file, capsys, text):
+    code = cli.main(["check", matrix_file(text), "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "cannot load" in captured.err
+
+
+def test_cli_construct_rejects_booleans_in_a_generator_file(matrix_file, capsys):
+    gens = matrix_file("[[[1, true], [0, 1]]]", "gens.json")
+    code = cli.main(["construct", gens, "--seed", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "integer matrix" in captured.err
 
 
 # a matrix that passes the check and one that violates it
@@ -304,6 +326,17 @@ def test_cli_expsum_refuses_an_oversized_direct_sum(capsys):
     assert code == 2
     assert captured.out == ""
     assert "needs 1000000007 residue bins mod 1000000007" in captured.err
+
+
+def test_cli_expsum_refuses_to_factor_a_prime_near_10_to_18(capsys):
+    start = time.monotonic()
+    code = cli.main(["expsum", "--coeffs", "0,0,1", "--q", "1000000000000000003"])
+    elapsed = time.monotonic() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "cannot factor q = 1000000000000000003" in captured.err
+    assert elapsed < 30
 
 
 def test_cli_expsum_quadratic_at_a_large_prime(capsys):

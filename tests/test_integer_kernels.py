@@ -136,6 +136,11 @@ def test_prime_power_factors_split_q(q):
             assert math.gcd(a, b) == 1
 
 
+def test_prime_power_factors_square_of_a_prime_near_the_limit():
+    # below _MAX_BINS^2, so trial division reaches p
+    assert _prime_power_factors((10**7 + 19) ** 2) == [(10**7 + 19, 2)]
+
+
 @given(
     st.lists(st.integers(-10**4, 10**4), max_size=7),
     st.integers(-10**6, 10**6),

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,7 @@ from glasnerlab.errors import (
     NotUnipotent,
     ZeroVector,
 )
-from glasnerlab.intmat import IntMat, inverse_unimodular
+from glasnerlab.intmat import IntMat
 from glasnerlab.polymat import MPoly, MPolyMat
 from glasnerlab.unipotent import (
     SL2_CONGRUENCE_PAIR,
@@ -28,9 +29,11 @@ from glasnerlab.unipotent import (
     word_product,
 )
 
+from conftest import adjugate_inverse
+
 
 def int_power(u: IntMat, n: int) -> IntMat:
-    base = u if n >= 0 else inverse_unimodular(u)
+    base = u if n >= 0 else adjugate_inverse(u)
     acc = IntMat.identity(u.rows)
     for _ in range(abs(n)):
         acc = acc @ base
@@ -52,6 +55,61 @@ def random_unipotent(rng: random.Random, d: int) -> IntMat:
         e[0][d - 1] = rng.randint(1, 3)
         acc = IntMat(e)
     return acc
+
+
+def shear(d: int, i: int, j: int, k: int) -> IntMat:
+    e = [[1 if a == b else 0 for b in range(d)] for a in range(d)]
+    e[i][j] = k
+    return IntMat(e)
+
+
+def conjugated_unitriangular(rng: random.Random, d: int) -> IntMat:
+    """P U P^-1 for a random upper unitriangular U and a random product P of
+    shears: unipotent, with (u - I)^(d-1) nonzero in general."""
+    U = IntMat(
+        [[rng.randint(-3, 3) if b > a else int(a == b) for b in range(d)] for a in range(d)]
+    )
+    P = Pinv = IntMat.identity(d)
+    for _ in range(3):
+        i, j = rng.sample(range(d), 2)
+        k = rng.randint(-2, 2)
+        P = P @ shear(d, i, j, k)
+        Pinv = shear(d, i, j, -k) @ Pinv
+    return P @ U @ Pinv
+
+
+def test_unipotent_inverse_matches_the_adjugate():
+    rng = random.Random(61)
+    gens = list(SL2_PAIR) + list(SL2_CONGRUENCE_PAIR) + adjoint_fixture().generators
+    for d in range(2, 6):
+        gens += [conjugated_unitriangular(rng, d) for _ in range(8)]
+        gens += [random_unipotent(rng, d) for _ in range(4)]
+    for u in gens:
+        inv = UnipotentSystem([u]).inverses[0]
+        assert u @ inv == IntMat.identity(u.rows)
+        assert inv == adjugate_inverse(u)
+
+
+def adjugate_adjoint_rep(g: IntMat) -> IntMat:
+    """adjoint_rep with g^-1 from the adjugate oracle."""
+    ginv = adjugate_inverse(g)
+    basis = (IntMat([[0, 0], [1, 0]]), IntMat([[0, -1], [0, 0]]), IntMat([[1, 0], [0, -1]]))
+    cols = []
+    for b in basis:
+        img = g @ b @ ginv
+        cols.append((img.entries[1][0], -img.entries[0][1], img.entries[0][0]))
+    return IntMat([list(r) for r in zip(*cols)])
+
+
+def test_adjoint_rep_matches_adjugate_conjugation():
+    rng = random.Random(71)
+    for _ in range(40):
+        g = IntMat.identity(2)
+        for _ in range(rng.randint(1, 5)):
+            i, j = rng.sample(range(2), 2)
+            g = g @ shear(2, i, j, rng.randint(-4, 4))
+        assert g.det() == 1
+        assert adjoint_rep(g) == adjugate_adjoint_rep(g)
 
 
 @pytest.mark.parametrize(
@@ -140,6 +198,25 @@ def test_cayley_affine_span():
     assert cayley_affine_span_dim(sys, (1, 0), 2) == 2
 
 
+def test_cayley_spans_of_a_rational_multiple():
+    rng = random.Random(81)
+    systems = [
+        UnipotentSystem(list(SL2_PAIR)),
+        UnipotentSystem([IntMat([[1, 1], [0, 1]])]),
+        adjoint_fixture(),
+    ]
+    for sys in systems:
+        for _ in range(6):
+            v = [rng.randint(-3, 3) for _ in range(sys.d)]
+            if not any(v):
+                continue
+            scaled = [Fraction(3, 7) * x for x in v]
+            for r in range(4):
+                assert cayley_span_dim(sys, scaled, r) == cayley_span_dim(sys, v, r)
+                want = cayley_affine_span_dim(sys, v, r)
+                assert cayley_affine_span_dim(sys, scaled, r) == want
+
+
 def test_certify_irreducible_pair():
     verdict = certify_irreducible(UnipotentSystem(list(SL2_PAIR)))
     assert verdict.status is IrreducibilityStatus.CERTIFIED_ABSOLUTELY_IRREDUCIBLE
@@ -150,8 +227,8 @@ def test_certify_reducible_single_shear():
     verdict = certify_irreducible(UnipotentSystem([IntMat([[1, 1], [0, 1]])]))
     assert verdict.status is IrreducibilityStatus.REDUCIBLE_WITH_WITNESS
     assert verdict.witness is not None
-    # the invariant line of the shear
-    assert len(verdict.witness) == 1
+    # the invariant line of the shear, as a primitive integer row
+    assert verdict.witness == [(1, 0)]
 
 
 def test_certify_reducible_identity_system():
@@ -175,7 +252,7 @@ def test_adjoint_rep_preserves_unipotency():
 
 def test_adjoint_rep_is_homomorphism():
     rng = random.Random(51)
-    gens = list(SL2_PAIR) + [inverse_unimodular(g) for g in SL2_PAIR]
+    gens = list(SL2_PAIR) + [adjugate_inverse(g) for g in SL2_PAIR]
     for _ in range(20):
         g = IntMat.identity(2)
         h = IntMat.identity(2)
