@@ -6,10 +6,10 @@ p^k of q when the denominator of f allows.  Each factor goes through Hua's
 p-adic reduction: the phase and p-content come out, stationary phase keeps
 only the roots of f' mod p for k >= 2, and a prime modulus has closed forms
 by folded degree (0, 1, the Gauss sum for 2, a half-range cosine sum for 3)
-before the histogram of residues f(n) mod p.  Every reduction is integer
-arithmetic; floating point enters only in the final roots of unity
-exp(2*pi*i*r/q), sqrt(p) and cosines, so no argument carries accumulated
-error even for large moduli.
+before a direct sum over the residues f(n) mod p.  Every reduction and
+residue is exact integer arithmetic; floating point enters only in sqrt(p),
+the final roots of unity exp(2*pi*i*r/q) and one math.fsum of cosines (and
+sines) per block of residues, so no argument carries accumulated error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import BadDelta
 from .intmat import gcd_vec
@@ -38,33 +38,63 @@ class SumResult:
         return abs(self.value)
 
 
-# n values per block of the residue histogram: bounds the working lists
+# n values per block of residues: bounds the working lists
 _BLOCK = 1 << 14
-# the largest residue histogram (or root scan) a direct sum may make
+# the most residues a direct sum may take mod q (or a root scan mod p)
 _MAX_BINS = 1 << 25
+_TRIAL = 1 << 10
+# Miller-Rabin on these bases is exact below _MR_LIMIT (Sorenson-Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, for odd n > 41 below _MR_LIMIT."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    for a in _MR_BASES:
+        x = pow(a, n >> s, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << i, n) for i in range(s)):
+            return False
+    return True
+
+
+def _as_prime_power(m: int) -> Optional[Tuple[int, int]]:
+    """(r, k) with m = r^k, r prime, for m < _MR_LIMIT free of primes up to _TRIAL; else None."""
+    # r > _TRIAL: k <= log2(m) / 10, and a float k-th root (k >= 3) errs by < 1e-7
+    for k in range(1, m.bit_length() // 10 + 1 if m < _MR_LIMIT else 1):
+        r = m if k == 1 else math.isqrt(m) if k == 2 else round(m ** (1.0 / k))
+        if r**k == m and _is_prime(r):
+            return r, k
+    return None
 
 
 def _prime_power_factors(q: int) -> List[Tuple[int, int]]:
     """The pairs (p, e) with p^e exactly dividing q, by trial division.
 
-    Raises ValueError once the trial divisor passes _MAX_BINS with the
-    cofactor still unfactored, so every q below _MAX_BINS^2 factors.
+    Once the divisor passes _TRIAL, and after each further factor, the
+    cofactor is tested as a prime power.  Raises ValueError naming q once
+    the divisor passes _MAX_BINS with a composite cofactor left.
     """
-    n = q
-    out = []
-    p = 2
+    n, out, p, untested = q, [], 2, True
     while p * p <= q:
-        if p > _MAX_BINS:
-            raise ValueError(
-                f"cannot factor q = {n}: its cofactor {q} has no prime "
-                f"factor up to the trial division limit of {_MAX_BINS}"
-            )
+        if p > _TRIAL:
+            if p > _MAX_BINS:
+                raise ValueError(
+                    f"cannot factor q = {n}: its cofactor {q} has no prime "
+                    f"factor up to the trial division limit of {_MAX_BINS}"
+                )
+            if untested:
+                untested = False
+                rk = _as_prime_power(q)
+                if rk:
+                    return out + [rk]
         if q % p == 0:
             e = 0
             while q % p == 0:
                 q //= p
                 e += 1
             out.append((p, e))
+            untested = True
         p += 1 if p == 2 else 2
     if q > 1:
         out.append((q, 1))
@@ -72,7 +102,7 @@ def _prime_power_factors(q: int) -> List[Tuple[int, int]]:
 
 
 def _check_bins(bins: int, mod: int) -> None:
-    """Refuse a histogram or scan of more than _MAX_BINS residues."""
+    """Refuse a direct sum or root scan of more than _MAX_BINS residues."""
     if bins > _MAX_BINS:
         raise ValueError(
             f"complete sum needs {bins} residue bins mod {mod}, "
@@ -80,38 +110,31 @@ def _check_bins(bins: int, mod: int) -> None:
         )
 
 
-def _residue_histogram(
-    P: Sequence[int], mod: int, div: int, start: int, count: int
-) -> List[int]:
-    """Counts of r(n) = (P(n) mod mod) // div over n = start..start+count-1,
-    by integer Horner mod `mod`; one bin per value of r, mod // div bins."""
-    _check_bins(mod // div, mod)
-    hist = [0] * (mod // div)
-    cs = [c % mod for c in reversed(P)] or [0]
-    top, rest = cs[0], cs[1:]
-    stop = start + count
-    for lo in range(start, stop, _BLOCK):
-        ns = range(lo, min(lo + _BLOCK, stop))
-        acc = [top] * len(ns)
-        for c in rest:
-            acc = [(a * n + c) % mod for a, n in zip(acc, ns)]
-        for a in acc:
-            hist[a // div] += 1
-    return hist
+def _fsum_e(rs: List[int], q: int, imag: bool = True) -> complex:
+    """Sum of e(r/q) over the exact residues rs: one math.fsum pass of cos (and of sin if imag)."""
+    angle = (TWO_PI / q).__mul__
+    re = math.fsum(map(math.cos, map(angle, rs)))
+    return complex(re, math.fsum(map(math.sin, map(angle, rs))) if imag else 0.0)
 
 
 def _residue_sum(P: Sequence[int], mod: int, div: int = 1, start: int = 0) -> complex:
     """(1/q) * sum_{n=start}^{start+q-1} e(r(n)/q), with q = mod // div and
     r(n) = (P(n) mod mod) // div.
 
-    P(n) mod mod comes from integer Horner mod `mod` into a histogram of the
-    q residues; floating point enters only in one exp per nonzero bin.
-    Raises ValueError, before allocating, when q exceeds _MAX_BINS.
+    Integer Horner mod `mod` gives the residues, one _fsum_e per block of
+    _BLOCK, so memory is O(_BLOCK).  Raises ValueError if q > _MAX_BINS.
     """
     q = mod // div
-    hist = _residue_histogram(P, mod, div, start, q)
-    rect = cmath.rect
-    return sum(rect(c, TWO_PI * (r / q)) for r, c in enumerate(hist) if c) / q
+    _check_bins(q, mod)
+    cs = [c % mod for c in reversed(P)] or [0]
+    total = 0j
+    for lo in range(start, start + q, _BLOCK):
+        ns = range(lo, min(lo + _BLOCK, start + q))
+        acc = [cs[0]] * len(ns)
+        for c in cs[1:]:
+            acc = [(a * n + c) % mod for a, n in zip(acc, ns)]
+        total += _fsum_e([a // div for a in acc] if div > 1 else acc, q)
+    return total / q
 
 
 def _e(r: int, q: int) -> complex:
@@ -137,9 +160,22 @@ def _valuation(x: int, p: int, cap: int) -> int:
     return v
 
 
+def _sqrt_mod_p(a: int, p: int) -> int:
+    """A square root of the quadratic residue a mod an odd prime p (Tonelli-Shanks)."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, p >> s, p), pow(a, p >> s, p), pow(a, ((p >> s) + 1) // 2, p)
+    while t > 1:
+        i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
 def _roots_mod_p(d: Sequence[int], p: int) -> List[int]:
-    """The roots r in 0..p-1, mod p, of the polynomial with ascending
-    coefficients d: solved directly up to degree 1, else by a scan."""
+    """The roots r in 0..p-1, ascending, of the polynomial with ascending
+    coefficients d mod p: solved directly up to degree 1 and, at odd p,
+    degree 2 (discriminant, Euler's criterion, Tonelli-Shanks); else a scan."""
     d = [x % p for x in d]
     while d and not d[-1]:
         d.pop()
@@ -147,6 +183,12 @@ def _roots_mod_p(d: Sequence[int], p: int) -> List[int]:
         return []
     if len(d) == 2:
         return [-d[0] * pow(d[1], -1, p) % p]
+    if len(d) == 3 and p > 2:
+        disc = (d[1] * d[1] - 4 * d[0] * d[2]) % p
+        if pow(disc, (p - 1) // 2, p) > 1:
+            return []
+        s, inv = _sqrt_mod_p(disc, p), pow(2 * d[2], -1, p)
+        return sorted({(s - d[1]) * inv % p, (-s - d[1]) * inv % p})
     _check_bins(p, p)
     out = []
     for r in range(p):
@@ -162,7 +204,9 @@ def _prime_sum(c: Sequence[int], p: int) -> complex:
     """(1/p) * sum_{n mod p} e(f(n)/p) for f(0) = 0 and integer c.
 
     As functions on Z/p, n^j = n^(1 + (j-1) mod (p-1)) for j >= 1, so f
-    folds to degree at most p - 1; the folded degree picks the form.
+    folds to degree at most p - 1.  The folded degree picks the form: the
+    phase, exactly 0, the Gauss sum, one cosine fsum over (p - 1)/2 exact
+    residues for degree 3, and `_residue_sum` over all p residues above.
     """
     a = [0] * min(len(c), p)
     for j in range(1, len(c)):
@@ -186,8 +230,12 @@ def _prime_sum(c: Sequence[int], p: int) -> complex:
     if deg == 3:
         # p > 3: shift to a t^3 + b t + d and pair t with -t
         d, b, _, a3 = _taylor_shift(a, -a[2] * pow(3 * a[3], -1, p), p)
-        hist = _residue_histogram((0, b, 0, a3), p, 1, 1, (p - 1) // 2)
-        half = sum(k * math.cos(TWO_PI * (r / p)) for r, k in enumerate(hist) if k)
+        _check_bins(p, p)
+        h = (p + 1) // 2
+        half = 0.0
+        for lo in range(1, h, _BLOCK):
+            ts = range(lo, min(lo + _BLOCK, h))
+            half += _fsum_e([(a3 * t * t + b) * t % p for t in ts], p, False).real
         return _e(d, p) * ((1 + 2 * half) / p)
     return _residue_sum(a, p)
 
@@ -230,17 +278,14 @@ def complete_sum(f: IntPoly, q: int) -> SumResult:
     f may have rational coefficients as long as it is integer-valued.  With
     f = P / L (integer form): when gcd(L, q) = 1, f = P * L^-1 mod q has
     integer coefficients and the sum is the product over the prime powers
-    p^e of q of the sums S(u * f, p^e), u = (q / p^e)^-1 mod p^e (CRT).
-    Each of these is reduced exactly (`_prime_power_sum`): phase and
-    p-content out, stationary phase over the roots of f' mod p for e >= 2,
-    and at a prime the closed forms for folded degree 0 (the phase), 1
-    (exactly 0) and 2 (the Gauss sum), a half-range cosine sum for degree 3,
-    and the residue histogram otherwise.  Otherwise P is reduced mod q * L
-    and f(n) mod q = (P(n) mod qL) // L, by the histogram.  Every residue
-    and every reduction is exact integer arithmetic; floating point enters
-    only in the final roots of unity, sqrt(p) and cosines.  `terms` stays
-    q, the number of summands.  A histogram or root scan above 2^25 bins
-    raises ValueError before it allocates.
+    p^e of q of the sums S(u * f, p^e), u = (q / p^e)^-1 mod p^e (CRT),
+    each reduced exactly by `_prime_power_sum`.  Otherwise P is reduced mod
+    q * L and f(n) mod q = (P(n) mod qL) // L, by the direct sum
+    `_residue_sum`.  Residues and reductions are exact integer arithmetic;
+    floats enter only in sqrt(p), the final roots of unity and one
+    math.fsum pass per block of residues.  `terms` stays q, the number of
+    summands.  A direct sum or root scan over more than 2^25 residues
+    raises ValueError before it starts.
     """
     if q < 1:
         raise ValueError("q must be >= 1")

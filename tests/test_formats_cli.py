@@ -328,15 +328,26 @@ def test_cli_expsum_refuses_an_oversized_direct_sum(capsys):
     assert "needs 1000000007 residue bins mod 1000000007" in captured.err
 
 
-def test_cli_expsum_refuses_to_factor_a_prime_near_10_to_18(capsys):
+def test_cli_expsum_refuses_to_factor_a_semiprime_of_two_40_bit_primes(capsys):
+    q = 1099511627689 * 1099511627609
     start = time.monotonic()
-    code = cli.main(["expsum", "--coeffs", "0,0,1", "--q", "1000000000000000003"])
+    code = cli.main(["expsum", "--coeffs", "0,0,1", "--q", str(q)])
     elapsed = time.monotonic() - start
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "cannot factor q = 1000000000000000003" in captured.err
+    assert f"cannot factor q = {q}" in captured.err
     assert elapsed < 30
+
+
+def test_cli_expsum_quadratic_at_a_prime_near_10_to_18(capsys):
+    q = 10**18 + 3
+    start = time.monotonic()
+    code, out = run_cli(capsys, ["expsum", "--coeffs", "0,0,1", "--q", str(q)])
+    assert time.monotonic() - start < 1
+    assert code == 0
+    assert out["magnitude"] == pytest.approx(q**-0.5, rel=1e-12)
+    assert out["terms"] == q
 
 
 def test_cli_expsum_quadratic_at_a_large_prime(capsys):

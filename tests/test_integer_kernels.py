@@ -1,19 +1,23 @@
 """The integer-form kernels against the direct Fraction oracles they replaced.
 
 `direct_complete_sum` is the original complete-sum loop: one Fraction Horner
-evaluation and one exp per term.  It is kept here, as a test oracle only.
+evaluation and one exp per term.  `trial_division_factors` is the original
+factoring of q, by trial division alone.  Both are kept here, as test oracles
+only.
 """
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from glasnerlab.errors import NonIntegerValue
 from glasnerlab import expsum
-from glasnerlab.expsum import _prime_power_factors, _residue_sum, complete_sum
+from glasnerlab.expsum import _prime_power_factors, _residue_sum, _roots_mod_p, complete_sum
 from glasnerlab.polymat import IntPoly
 
 TWO_PI = 2.0 * math.pi
@@ -35,6 +39,23 @@ def direct_complete_sum(f: IntPoly, q: int) -> complex:
         assert v.denominator == 1
         acc += cmath.exp(1j * (TWO_PI * ((v.numerator % q) / q)))
     return acc / q
+
+
+def trial_division_factors(q: int):
+    """The pairs (p, e) with p^e exactly dividing q, by trial division."""
+    out = []
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            e = 0
+            while q % p == 0:
+                q //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if q > 1:
+        out.append((q, 1))
+    return out
 
 
 def binomial(k: int) -> IntPoly:
@@ -139,6 +160,58 @@ def test_prime_power_factors_split_q(q):
 def test_prime_power_factors_square_of_a_prime_near_the_limit():
     # below _MAX_BINS^2, so trial division reaches p
     assert _prime_power_factors((10**7 + 19) ** 2) == [(10**7 + 19, 2)]
+
+
+# primes between 2^10, where the prime-power test starts, and sqrt(10^7)
+LARGE_TRIAL_PRIMES = [p for p in range(1025, 3163, 2) if all(p % d for d in range(3, 57, 2))]
+
+
+@given(
+    st.one_of(
+        st.integers(1, 10**7),
+        st.builds(
+            lambda m, p, e: m * p**e,
+            st.integers(1, 9),
+            st.sampled_from(LARGE_TRIAL_PRIMES),
+            st.integers(1, 2),
+        ).filter(lambda q: q <= 10**7),
+    )
+)
+def test_prime_power_factors_match_trial_division(q):
+    assert _prime_power_factors(q) == trial_division_factors(q)
+
+
+P40, P40B = 1099511627689, 1099511627609  # the two largest primes below 2^40
+
+
+@pytest.mark.parametrize(
+    "q, want",
+    [
+        (561, [(3, 1), (11, 1), (17, 1)]),  # Carmichael numbers
+        (41041, [(7, 1), (11, 1), (13, 1), (41, 1)]),
+        (1171 * 2341 * 3511, [(1171, 1), (2341, 1), (3511, 1)]),  # every factor above 2^10
+        (149491 * 747451 * 34233211, [(149491, 1), (747451, 1), (34233211, 1)]),
+        (10**18 + 3, [(10**18 + 3, 1)]),
+        (1031 * (10**18 + 3), [(1031, 1), (10**18 + 3, 1)]),
+        (P40**2, [(P40, 2)]),
+        (1031**3 * 1033**2 * 1039, [(1031, 3), (1033, 2), (1039, 1)]),
+        (4 * 3511**5, [(2, 2), (3511, 5)]),
+    ],
+)
+def test_prime_power_factors_past_trial_division(q, want):
+    assert _prime_power_factors(q) == want
+
+
+def test_miller_rabin_rejects_strong_pseudoprimes():
+    """A Carmichael number, and strong pseudoprimes to every prime base up
+    to 7, 23 and 37, are composite; primes near 10^18 and 2^40 are not."""
+    for n in (1171 * 2341 * 3511, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not expsum._is_prime(n)
+    for n in (10**18 + 3, 10**9 + 7, P40, P40B):
+        assert expsum._is_prime(n)
+    # a prime past the bound of the 13 bases is not tested; a semiprime is no power
+    assert expsum._as_prime_power(3317044064679887385962123) is None
+    assert expsum._as_prime_power(P40 * P40B) is None
 
 
 @given(
@@ -320,16 +393,16 @@ def test_coprime_linear_sum_is_exactly_zero(q):
 
 
 def test_prime_sum_forms_by_folded_degree(monkeypatch):
-    """Only a folded degree of 3 or more at a prime builds a histogram:
+    """Only a folded degree of 3 or more at a prime sums over residues:
     (p - 1)/2 values for the cubic form, p for the direct sum."""
     counts = []
-    real = expsum._residue_histogram
+    real = expsum._fsum_e
 
-    def spy(P, mod, div, start, count):
-        counts.append((mod, count))
-        return real(P, mod, div, start, count)
+    def spy(rs, q, imag=True):
+        counts.append((q, len(rs)))
+        return real(rs, q, imag)
 
-    monkeypatch.setattr(expsum, "_residue_histogram", spy)
+    monkeypatch.setattr(expsum, "_fsum_e", spy)
     for coeffs in ([0, 5], [1, 2, 3], [0, -1, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 0, 3]):
         complete_sum(IntPoly(coeffs), 7)
     assert counts == []  # linear, Gauss, n^7 - n = 0 and 3n^7 = 3n
@@ -350,13 +423,106 @@ def test_residue_sum_refuses_an_oversized_histogram():
 
 
 def test_stationary_phase_roots_above_the_scan_limit():
-    """f' of degree <= 1 mod p is solved directly; a larger f' is scanned
-    over the residues mod p, which refuses p = 2^25 + 35."""
+    """f' of degree <= 1 mod p, or 2 at odd p, is solved directly; a larger
+    f' is scanned over the residues mod p, which refuses p = 2^25 + 35."""
     p = 33554467
     assert expsum._prime_power_sum([0, 0, 1], p, 2) == pytest.approx(1 / p, rel=1e-12)
     assert expsum._prime_power_sum([0, 1, 0, 0, 0, p], p, 3) == 0j
+    # f = n^3: f' = 3 n^2 has the one root 0, whose lift contributes p
+    assert expsum._prime_power_sum([0, 0, 0, 1], p, 2) == pytest.approx(1 / p, rel=1e-12)
     with pytest.raises(ValueError, match=rf"needs {p} residue bins mod {p}"):
-        expsum._prime_power_sum([0, 0, 0, 1], p, 2)
+        expsum._prime_power_sum([0, 0, 0, 0, 1], p, 2)
+
+
+def scan_roots(d, p):
+    return [r for r in range(p) if sum(c * r**j for j, c in enumerate(d)) % p == 0]
+
+
+SMALL_PRIMES = [p for p in range(2, 500) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 23, 31])
+def test_roots_of_every_quadratic_match_the_scan(p):
+    for c0 in range(p):
+        for c1 in range(p):
+            for c2 in range(1, p):
+                assert _roots_mod_p([c0, c1, c2], p) == scan_roots([c0, c1, c2], p)
+
+
+@KERNEL
+@given(
+    st.sampled_from(SMALL_PRIMES),
+    st.lists(st.integers(-10**6, 10**6), min_size=3, max_size=3),
+)
+def test_roots_of_a_quadratic_match_the_scan(p, d):
+    assume(d[2] % p)
+    assert _roots_mod_p(d, p) == scan_roots(d, p)
+
+
+def test_cubic_at_the_square_of_a_large_prime():
+    """f' is quadratic, so no scan of the p residues: S(n^3, p^2) = 1/p."""
+    p = 10**6 + 3
+    assert complete_sum(IntPoly([0, 0, 0, 1]), p * p).value == pytest.approx(1 / p, rel=1e-12)
+
+
+CUBIC_PRIMES = [p for p in SMALL_PRIMES if p >= 5] + [2999]
+
+
+@KERNEL
+@given(
+    st.sampled_from(CUBIC_PRIMES),
+    st.integers(1, 10**6),
+    st.integers(0, 10**6) | st.just(0),
+    st.integers(-10**6, 10**6),
+)
+@example(2971, 5, 0, 0)  # 2971 = 1 mod 3
+@example(2971, 5, 7, 0)
+@example(2999, 5, 0, 0)  # 2999 = 2 mod 3
+@example(2999, 5, 7, 0)
+def test_cubic_form_matches_direct_sum(p, a3, b, a2):
+    """The half-range cosine form against the term-by-term oracle, at p = 1
+    and p = 2 mod 3, with and without a linear term."""
+    assume(a3 % p)
+    f = IntPoly([0, b, a2, a3])
+    assert abs(complete_sum(f, p).value - direct_complete_sum(f, p)) <= 1e-12
+
+
+def direct_residue_sum(P, mod, div, start):
+    q = mod // div
+    acc = 0j
+    for n in range(start, start + q):
+        r = sum(c * n**j for j, c in enumerate(P)) % mod // div
+        acc += cmath.exp(1j * (TWO_PI * (r / q)))
+    return acc / q
+
+
+@KERNEL
+@given(
+    st.lists(st.integers(-10**6, 10**6), max_size=7),
+    st.integers(1, 600),
+    st.integers(1, 12),
+    st.integers(-50, 50),
+    st.sampled_from([1, 5, 64, expsum._BLOCK]),
+)
+def test_residue_sum_matches_direct(P, q, div, start, block):
+    """Blocks of any length, div = 1 (a direct sum mod q) and div > 1 (the
+    sum over q * L of a shared denominator)."""
+    with mock.patch.object(expsum, "_BLOCK", block):
+        got = _residue_sum(P, q * div, div, start)
+    assert abs(got - direct_residue_sum(P, q * div, div, start)) <= 1e-12
+
+
+def test_residue_sum_memory_is_one_block():
+    """At q = 2^20 + 7 the residues, 8 MiB as a histogram, never exist at
+    once; two Horner passes keep two blocks alive."""
+    q = (1 << 20) + 7
+    tracemalloc.start()
+    try:
+        _residue_sum([0, 3, 1], q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_quadratic_at_a_large_prime():
