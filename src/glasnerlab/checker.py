@@ -19,7 +19,11 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import BadGcd, HypothesisFailed, ZeroVector
 from .intmat import IntMat, IntSpan, bareiss_det, gcd_vec, left_kernel_integer
-from .polymat import IntPoly, PolyMat, bilinear_poly, coeff_matrices, coeff_norm
+from .polymat import IntPoly, PolyMat, bilinear_poly, coeff_norm
+
+# Unused here since the scan reads PolyMat.integer_form; the benchmark's
+# tracer (perfbench/tracing.py) wraps coeff_matrices under this name.
+from .polymat import coeff_matrices  # noqa: F401
 
 
 class VerdictStatus(Enum):
@@ -70,51 +74,43 @@ def check_pair(A: PolyMat, v: Sequence[int], w: Sequence[int]) -> bool:
 def fleeing_matrix(A: PolyMat, w: Sequence[int]) -> Optional[IntMat]:
     """The d x D matrix with column k equal to B_k w (k = 1..D).
 
-    Returns None for a constant A (no columns).  Rational coefficient
-    matrices are cleared to integers column by column, which changes
-    neither the rank nor the left kernel.
+    Returns None for a constant A (no columns).  Column k is C_k w from
+    `PolyMat.integer_form` divided by gcd(L, C_k w): B_k w cleared of its
+    own denominators, which changes neither the rank nor the left kernel.
     """
     if len(w) != A.dim:
         raise ValueError("w must have length d")
+    w = [int(x) for x in w]
+    L, Cs = A.integer_form()
     cols = []
-    for B in coeff_matrices(A)[1:]:
-        col = [sum(c * int(x) for c, x in zip(row, w)) for row in B]
-        den = math.lcm(*(c.denominator for c in col))
-        cols.append([int(c * den) for c in col])
+    for C in Cs[1:]:
+        col = [sum(map(mul, row, w)) for row in C]
+        g = math.gcd(L, *col)
+        cols.append([c // g for c in col])
     if not cols:
         return None
     return IntMat([list(r) for r in zip(*cols)])
 
 
-def _integer_scaled(B):
-    """B times the lcm of its denominators, as integer row tuples."""
-    den = math.lcm(*(c.denominator for row in B for c in row))
-    return [tuple(c.numerator * (den // c.denominator) for c in row) for row in B]
-
-
 class _FleeingScan:
     """Cached per-matrix state for scanning many candidate w.
 
-    One integer copy of each nonzero B_k (k >= 1) is kept, each scaled by
-    the lcm of its own denominators; scaling a column by a positive integer
-    changes neither the rank nor the left kernel.  For each w an integer
-    determinant filter runs first: the d columns of the first d copies
+    The nonzero C_k (k >= 1) of `PolyMat.integer_form` are kept: B_k scaled
+    by the one common denominator L, and scaling every column by L changes
+    neither the rank nor the integer left kernel.  For each w an integer
+    determinant filter runs first: the d columns of the first d of them
     times w have a nonzero Bareiss determinant iff they are independent,
     and then the fleeing matrix has full rank and w cannot violate.  Only a
-    zero determinant, or fewer than d nonzero B_k, sends w to the exact
-    fallback: all columns B_k w fed into an IntSpan, with early exit at
+    zero determinant, or fewer than d nonzero C_k, sends w to the exact
+    fallback: all columns C_k w fed into an IntSpan, with early exit at
     full rank.  Below full rank, w violates, and v comes from the integer
-    left kernel of the fleeing matrix cleared by one common denominator.
+    left kernel of those same columns.
     """
 
     def __init__(self, A: PolyMat):
-        self.A = A
         self.d = A.dim
-        self.int_bs = [
-            _integer_scaled(B)
-            for B in coeff_matrices(A)[1:]
-            if any(any(row) for row in B)
-        ]
+        _, Cs = A.integer_form()
+        self.int_bs = [C for C in Cs[1:] if any(any(row) for row in C)]
         self.det_bs = self.int_bs[: self.d] if len(self.int_bs) >= self.d else None
 
     def violating_v(self, w) -> Optional[Tuple[int, ...]]:
@@ -130,15 +126,13 @@ class _FleeingScan:
             if bareiss_det([[sum(map(mul, row, w)) for row in B] for B in self.det_bs]):
                 return None
         span = IntSpan()
+        cols = []
         for B in self.int_bs:
-            if span.add([sum(map(mul, row, w)) for row in B]) and span.dim == d:
+            col = [sum(map(mul, row, w)) for row in B]
+            if span.add(col) and span.dim == d:
                 return None
-        cols = [[sum(map(mul, row, w)) for row in B] for B in coeff_matrices(self.A)[1:]]
-        den = math.lcm(*(c.denominator for col in cols for c in col))
-        M = IntMat(
-            [[c.numerator * (den // c.denominator) for c in r] for r in zip(*cols)]
-        )
-        basis = left_kernel_integer(M)
+            cols.append(col)
+        basis = left_kernel_integer(IntMat([list(r) for r in zip(*cols)]))
         return min(basis) if basis else None
 
 

@@ -3,13 +3,15 @@
 Coefficients are stored as exact rationals.  Rational coefficients are only
 admitted for integer-valued polynomials (values at every integer are
 integers), which is exactly what symbolic powers of unipotent matrices
-produce; the finite-difference criterion at 0..deg certifies this.
-A univariate polynomial also has an integer form P / L (integer numerators
-over one positive denominator), on which integer evaluation runs.
+produce.  A univariate polynomial also has an integer form P / L (integer
+numerators over one positive denominator), on which integer evaluation
+runs; a polynomial matrix has one integer form (1/L) sum_k C_k x^k over the
+common denominator of all its entries, on which the fleeing scan runs.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NonIntegerValue
@@ -62,16 +64,6 @@ class IntPoly:
     def has_integer_coeffs(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
-    def is_integer_valued(self) -> bool:
-        """True iff values at all integers are integers.
-
-        A degree-D polynomial is integer-valued iff its values at 0..D are
-        integers (it is then an integer combination of binomial coefficients).
-        """
-        return all(
-            Fraction(self(n)).denominator == 1 for n in range(self.degree + 2)
-        )
-
     def integer_form(self):
         """(P, L) with self = P / L: L > 0 is the lcm of the coefficient
         denominators and P the tuple of integer numerators."""
@@ -79,10 +71,7 @@ class IntPoly:
             return self._int
         except AttributeError:
             pass
-        L = 1
-        for c in self.coeffs:
-            # Fraction(L, d) is reduced by gcd(L, d), so this is lcm(L, d)
-            L *= Fraction(L, c.denominator).denominator
+        L = math.lcm(*(c.denominator for c in self.coeffs))
         self._int = (tuple(c.numerator * (L // c.denominator) for c in self.coeffs), L)
         return self._int
 
@@ -146,7 +135,8 @@ class IntPoly:
 class PolyMat:
     """Square matrix of integer-valued univariate polynomials."""
 
-    __slots__ = ("dim", "entries")
+    # _int caches integer_form(), as IntPoly does.
+    __slots__ = ("dim", "entries", "_int")
 
     def __init__(self, entries):
         d = len(entries)
@@ -158,18 +148,34 @@ class PolyMat:
             for row in entries
         )
 
-    @classmethod
-    def from_coeff_lists(cls, lists) -> "PolyMat":
-        return cls([[IntPoly(e) for e in row] for row in lists])
-
-    @classmethod
-    def scalar(cls, d: int, p: IntPoly) -> "PolyMat":
-        zero = IntPoly()
-        return cls([[p if i == j else zero for j in range(d)] for i in range(d)])
-
     @property
     def degree(self) -> int:
         return max((e.degree for row in self.entries for e in row), default=-1)
+
+    def integer_form(self):
+        """(L, Cs) with A(x) = (1/L) sum_k C_k x^k: L > 0 is the lcm of the
+        coefficient denominators of all entries, and Cs = (C_0, ..., C_D),
+        D = max(degree, 0), are d x d integer matrices as row tuples."""
+        try:
+            return self._int
+        except AttributeError:
+            pass
+        forms = [[e.integer_form() for e in row] for row in self.entries]
+        L = math.lcm(*(m for row in forms for _, m in row))
+        size = max(self.degree, 0) + 1
+
+        def padded(P, m):
+            f = L // m
+            if f > 1:
+                P = tuple([c * f for c in P])
+            return P + (0,) * (size - len(P))
+
+        # entry (i, j) as its coefficient list over k; zip twice to index [k][i][j]
+        self._int = (
+            L,
+            tuple(zip(*(zip(*(padded(P, m) for P, m in row)) for row in forms))),
+        )
+        return self._int
 
     def __eq__(self, other):
         return isinstance(other, PolyMat) and self.entries == other.entries
@@ -235,16 +241,11 @@ def coeff_norm(A: PolyMat, include_constant: bool = True) -> int:
     With include_constant=False this is the norm of A(x) - A(0).
     Requires integer coefficients.
     """
-    best = 0
-    lo = 0 if include_constant else 1
-    for row in A.entries:
-        for e in row:
-            for k in range(lo, e.degree + 1):
-                c = e.coeff(k)
-                if c.denominator != 1:
-                    raise NonIntegerValue("coefficient norm needs integer coefficients")
-                best = max(best, abs(c.numerator))
-    return best
+    L, Cs = A.integer_form()
+    cs = [c for C in Cs[0 if include_constant else 1 :] for row in C for c in row]
+    if L > 1 and any(c % L for c in cs):
+        raise NonIntegerValue("coefficient norm needs integer coefficients")
+    return max(map(abs, cs), default=0) // L
 
 
 class MPoly:

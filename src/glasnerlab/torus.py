@@ -94,16 +94,6 @@ class TorusPointSet:
     def random_floats(cls, k: int, dim: int, rng) -> "TorusPointSet":
         return cls(dim, [tuple(rng.random() for _ in range(dim)) for _ in range(k)], FLOAT)
 
-    @classmethod
-    def random_rationals(cls, k: int, dim: int, rng, max_den: int = 10**6) -> "TorusPointSet":
-        pts = set()
-        while len(pts) < k:
-            p = tuple(
-                Fraction(rng.randrange(max_den), max_den) for _ in range(dim)
-            )
-            pts.add(p)
-        return cls(dim, sorted(pts), EXACT)
-
     def as_floats(self) -> List[Tuple[float, ...]]:
         if self.kind == FLOAT:
             return list(self.points)
@@ -340,10 +330,6 @@ class PairSpectrum:
     counts: Dict[int, int] = field(default_factory=dict)
     rational_pairs: int = 0
 
-    def cumulative(self, m: int) -> int:
-        """H_m = sum of h_q for 2 <= q <= m."""
-        return sum(c for q, c in self.counts.items() if 2 <= q <= m)
-
     def to_dict(self):
         return {
             "d": self.d,
@@ -459,15 +445,6 @@ def _avoided_arc(c: int, size: int) -> Tuple[Fraction, Fraction]:
     a, b = best
     gap = b - a
     return ((a + gap / 3) % 1, (a + 2 * gap / 3) % 1)
-
-
-def in_arc(value: Fraction, arc: Tuple[Fraction, Fraction]) -> bool:
-    """Exact membership of a circle point in an open arc (lo, hi) mod 1."""
-    lo, hi = Fraction(arc[0]) % 1, Fraction(arc[1]) % 1
-    v = Fraction(value) % 1
-    if lo < hi:
-        return lo < v < hi
-    return v > lo or v < hi
 
 
 def non_glasner_witness(A: PolyMat, v, w, size: int) -> WitnessReport:

@@ -19,6 +19,8 @@ from glasnerlab.checker import _FleeingScan, _primitive_vectors, check_pair, fin
 from glasnerlab.intmat import IntMat, bareiss_det, gcd_vec, left_kernel_integer
 from glasnerlab.polymat import IntPoly, PolyMat, coeff_matrices
 
+from conftest import plant
+
 SCAN = settings(max_examples=40, deadline=None)
 MAX_HEIGHT = {1: 5, 2: 4, 3: 2, 4: 1}
 
@@ -94,19 +96,6 @@ def matrix_from_coeffs(cs, binomial_basis: bool) -> PolyMat:
             row.append(p)
         entries.append(row)
     return PolyMat(entries)
-
-
-def plant(cs, v0, w0):
-    """Scale and correct each coefficient matrix so that v0^t C w0 = 0."""
-    i = next(k for k, x in enumerate(v0) if x)
-    j = next(k for k, x in enumerate(w0) if x)
-    out = [cs[0]]
-    for C in cs[1:]:
-        s = sum(v0[a] * C[a][b] * w0[b] for a in range(len(v0)) for b in range(len(w0)))
-        C = [[v0[i] * w0[j] * x for x in row] for row in C]
-        C[i][j] -= s
-        out.append(C)
-    return out
 
 
 def int_matrices(draw, d, count, bound):

@@ -17,7 +17,7 @@ from glasnerlab.polymat import (
     substitute,
 )
 
-from conftest import X, ZERO, poly, random_poly_matrix
+from conftest import X, ZERO, is_integer_valued, poly, random_poly_matrix, scalar_matrix
 
 
 def test_poly_canonical_form():
@@ -46,14 +46,14 @@ def test_integer_valued_binomial():
     # x(x-1)/2 has rational coefficients but integer values everywhere
     b = IntPoly([0, Fraction(-1, 2), Fraction(1, 2)])
     assert not b.has_integer_coeffs()
-    assert b.is_integer_valued()
+    assert is_integer_valued(b)
     assert b.eval_int(5) == 10
     assert b.eval_int(-3) == 6
 
 
 def test_non_integer_valued_detected():
     h = IntPoly([0, Fraction(1, 2)])
-    assert not h.is_integer_valued()
+    assert not is_integer_valued(h)
     with pytest.raises(NonIntegerValue):
         h.eval_int(1)
 
@@ -129,7 +129,7 @@ def test_bilinear_cancellation(symmetric_mix):
 
 
 def test_coeff_norm():
-    assert coeff_norm(PolyMat.scalar(2, X)) == 1
+    assert coeff_norm(scalar_matrix(2, X)) == 1
     assert coeff_norm(PolyMat([[poly(-5, 0, 3)]])) == 5
     assert coeff_norm(PolyMat([[ZERO]])) == 0
     assert coeff_norm(PolyMat([[poly(-5, 0, 3)]]), include_constant=False) == 3

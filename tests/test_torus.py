@@ -18,7 +18,6 @@ from glasnerlab.torus import (
     density_search,
     eps_dense,
     fourier_statistic,
-    in_arc,
     non_glasner_witness,
     orbit_density_search,
     pair_spectrum,
@@ -26,7 +25,7 @@ from glasnerlab.torus import (
     weighted_spectrum_sum,
 )
 
-from conftest import poly
+from conftest import cumulative, in_arc, poly, random_rationals
 
 
 def exact_line(*fracs):
@@ -149,9 +148,9 @@ def test_pair_spectrum_requires_exact():
 
 def test_pair_spectrum_cumulative():
     spectrum = pair_spectrum(exact_line(0, Fraction(1, 2), Fraction(1, 3)))
-    assert spectrum.cumulative(2) == 2
-    assert spectrum.cumulative(3) == 4
-    assert spectrum.cumulative(6) == 6
+    assert cumulative(spectrum, 2) == 2
+    assert cumulative(spectrum, 3) == 4
+    assert cumulative(spectrum, 6) == 6
 
 
 @pytest.mark.parametrize(
@@ -182,7 +181,7 @@ def test_fourier_statistic_singleton_general():
 
 def test_fourier_statistic_real_and_nonnegative():
     rng = random.Random(19)
-    Y = TorusPointSet.random_rationals(5, 2, rng, max_den=50)
+    Y = random_rationals(5, 2, rng, max_den=50)
     gammas = [IntMat([[1, 1], [0, 1]]), IntMat([[2, 1], [1, 1]])]
     val = fourier_statistic(gammas, Y, 0.5)
     assert val >= -1e-9
